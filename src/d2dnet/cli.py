@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -175,7 +174,6 @@ def _write_manifest(out: Path, command: str, config: dict, seed: int, outputs: l
         "config": config,
         "seed": seed,
         "tool_version": __version__,
-        "threads": int(os.environ.get("D2DNET_THREADS", "1")),
         "outputs": sorted(outputs),
     })
 
@@ -482,7 +480,6 @@ def reconfig(config_path, seed, out):
             t_r=int(cfg.get("t_r", 50)),
             epsilon=float(cfg.get("epsilon", 0.05)),
             horizon=int(cfg.get("horizon", 200)),
-            sim=_sim_from_config(cfg.get("sim"), resolved_seed),
             seed=resolved_seed,
             region=_region_from_config(cfg.get("region")),
         )

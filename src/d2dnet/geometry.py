@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -32,6 +31,8 @@ class Region:
     wrap: bool = True
 
     def __post_init__(self):
+        if not (np.isfinite(self.width) and np.isfinite(self.height)):
+            raise ValueError("region dimensions must be finite")
         # Zero area is allowed and yields an empty sample.
         if self.width < 0 or self.height < 0:
             raise ValueError("region dimensions must be nonnegative")
@@ -45,15 +46,20 @@ class Region:
 class MultiplexGraph:
     """A sampled point set with per-device type and two adjacency layers.
 
-    adj1/adj2 are per-node sorted neighbour index arrays; layer 1
-    connects type-I pairs within r1, layer 2 connects all pairs within
-    r2.  Both layers are symmetric and irreflexive.
+    Each layer is held in compressed sparse row (CSR) form as two int64
+    arrays: the neighbours of node i are
+    ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending, and
+    ``indptr`` has n + 1 entries.  Layer 1 connects type-I pairs within
+    r1, layer 2 connects all pairs within r2.  Both layers are
+    symmetric and irreflexive.
     """
 
     positions: np.ndarray          # (n, 2) km
     types: np.ndarray              # (n,) values TYPE_I / TYPE_II
-    adj1: list[np.ndarray]
-    adj2: list[np.ndarray]
+    indptr1: np.ndarray            # (n + 1,)
+    indices1: np.ndarray           # (2 * edges in layer 1,)
+    indptr2: np.ndarray
+    indices2: np.ndarray
     region: Region
     seed: int
     r1: float = 0.0
@@ -63,11 +69,29 @@ class MultiplexGraph:
     def n(self) -> int:
         return len(self.types)
 
+    @property
+    def adj1(self) -> list[np.ndarray]:
+        """Per-node neighbour arrays of layer 1 (views into ``indices1``)."""
+        return _rows(self.indptr1, self.indices1)
+
+    @property
+    def adj2(self) -> list[np.ndarray]:
+        """Per-node neighbour arrays of layer 2 (views into ``indices2``)."""
+        return _rows(self.indptr2, self.indices2)
+
+    def edges(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Directed (src, dst) arrays of layer 1 or 2: every edge both ways, by (src, dst)."""
+        if layer not in (1, 2):
+            raise ValueError(f"layer must be 1 or 2, got {layer}")
+        indptr = self.indptr1 if layer == 1 else self.indptr2
+        indices = self.indices1 if layer == 1 else self.indices2
+        return np.repeat(np.arange(self.n), np.diff(indptr)), indices
+
     def degree1(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adj1], dtype=np.int64)
+        return np.diff(self.indptr1)
 
     def degree2(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adj2], dtype=np.int64)
+        return np.diff(self.indptr2)
 
     def degree_combined(self) -> np.ndarray:
         """Per-node combined degree |N1| + |N2| (common neighbours count twice)."""
@@ -108,12 +132,17 @@ def _pairs_within(
     return pairs
 
 
-def _adjacency(n: int, pairs: np.ndarray) -> list[np.ndarray]:
-    neigh: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pairs:
-        neigh[i].append(j)
-        neigh[j].append(i)
-    return [np.array(sorted(a), dtype=np.int64) for a in neigh]
+def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
+    return np.split(indices, indptr[1:-1]) if len(indptr) > 1 else []
+
+
+def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric CSR arrays (indptr, indices) from pairs (i < j), rows sorted."""
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).astype(np.int64).T
+    order = np.argsort(src * n + dst)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[order]
 
 
 def build_rgg(
@@ -128,14 +157,18 @@ def build_rgg(
     # Layer 1: type-I devices only, range r1.
     idx1 = np.flatnonzero(types == TYPE_I)
     sub_pairs = _pairs_within(positions[idx1], params.r1, region)
-    pairs1 = idx1[sub_pairs] if len(sub_pairs) else np.empty((0, 2), dtype=np.int64)
+    pairs1 = idx1[sub_pairs]
     # Layer 2: all devices, range r2.
     pairs2 = _pairs_within(positions, params.r2, region)
+    indptr1, indices1 = _csr(n, pairs1)
+    indptr2, indices2 = _csr(n, pairs2)
     return MultiplexGraph(
         positions=positions,
         types=types,
-        adj1=_adjacency(n, pairs1),
-        adj2=_adjacency(n, pairs2),
+        indptr1=indptr1,
+        indices1=indices1,
+        indptr2=indptr2,
+        indices2=indices2,
         region=region,
         seed=seed,
         r1=params.r1,
@@ -184,12 +217,13 @@ def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
 
 def graph_to_dict(graph: MultiplexGraph) -> dict:
     """JSON-ready dump with stable key order."""
-    edges1 = sorted(
-        (i, int(j)) for i, a in enumerate(graph.adj1) for j in a if i < j
-    )
-    edges2 = sorted(
-        (i, int(j)) for i, a in enumerate(graph.adj2) for j in a if i < j
-    )
+
+    def pairs(layer: int) -> list[list[int]]:
+        # CSR order is lexicographic, so the i < j half is already sorted.
+        src, dst = graph.edges(layer)
+        keep = src < dst
+        return np.stack([src[keep], dst[keep]], axis=1).tolist()
+
     return {
         "schema": 1,
         "seed": graph.seed,
@@ -202,8 +236,8 @@ def graph_to_dict(graph: MultiplexGraph) -> dict:
         "r2": graph.r2,
         "positions": [[float(x), float(y)] for x, y in graph.positions],
         "types": [int(t) for t in graph.types],
-        "edges_layer1": [list(e) for e in edges1],
-        "edges_layer2": [list(e) for e in edges2],
+        "edges_layer1": pairs(1),
+        "edges_layer2": pairs(2),
     }
 
 

@@ -8,12 +8,13 @@ re-seeding one random node (standard quasi-stationary handling).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .degree import NetworkParams, ThreatModel, spreading_rates
+from .degree import NetworkParams, SpreadingRates, ThreatModel, spreading_rates
 from .geometry import TYPE_I, MultiplexGraph, Region, sample_graph
+from .meanfield import theta_lower_bound
 
 
 @dataclass(frozen=True)
@@ -32,10 +33,14 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.time_step <= 1.0:
             raise ValueError("time_step must be in (0, 1]")
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if self.measure_steps < 1:
             raise ValueError("measure_steps must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if not 0.0 <= self.initial_fraction <= 1.0:
+            raise ValueError("initial_fraction must be in [0, 1]")
 
 
 @dataclass
@@ -57,24 +62,6 @@ class SimResult:
 def _replication_rngs(seed: int, n: int) -> list[np.random.Generator]:
     """Independent per-replication generators from one master seed."""
     return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _edge_arrays(adj: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Directed edge arrays (src, dst) from per-node neighbour lists."""
-    if not adj:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    counts = np.array([len(a) for a in adj])
-    src = np.repeat(np.arange(len(adj)), counts)
-    dst = np.concatenate([a for a in adj if len(a)]) if counts.sum() else np.empty(0, dtype=np.int64)
-    return src, dst
-
-
-def _combined_edge_arrays(graph: MultiplexGraph) -> tuple[np.ndarray, np.ndarray]:
-    # Concatenating both layers keeps the layer-1/layer-2 duplicate pairs,
-    # giving type-I pairs within r2 two transmission chances per step.
-    s1, d1 = _edge_arrays(graph.adj1)
-    s2, d2 = _edge_arrays(graph.adj2)
-    return np.concatenate([s1, s2]), np.concatenate([d1, d2])
 
 
 def _seed_initial(n: int, fraction: float, rng: np.random.Generator,
@@ -113,7 +100,10 @@ def simulate_single(
         raise ValueError("graph must be nonempty")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    src, dst = _combined_edge_arrays(graph)
+    # Concatenating both layers keeps the layer-1/layer-2 duplicate pairs,
+    # giving type-I pairs within r2 two transmission chances per step.
+    (src1, dst1), (src2, dst2) = graph.edges(1), graph.edges(2)
+    src, dst = np.concatenate([src1, src2]), np.concatenate([dst1, dst2])
     h = config.time_step
     p_tx = alpha * h
     fractions = np.empty(config.replications)
@@ -168,8 +158,8 @@ def simulate_dual(
     for a in (alpha1, alpha2):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {a}")
-    src1, dst1 = _edge_arrays(graph.adj1)
-    src2, dst2 = _edge_arrays(graph.adj2)
+    src1, dst1 = graph.edges(1)
+    src2, dst2 = graph.edges(2)
     h = config.time_step
     type1_nodes = np.flatnonzero(graph.types == TYPE_I)
     f1 = np.empty(config.replications)
@@ -259,10 +249,23 @@ class DisseminationEstimate:
     se_aggregate_combined: float | None = None
 
 
-def _threshold_estimate(alpha: float, mean_degree: float) -> float:
-    if alpha * mean_degree <= 1.0:
-        return 0.0
-    return 1.0 - 1.0 / (alpha * mean_degree)
+def _connectivity_estimate(
+    graph: MultiplexGraph, rates: SpreadingRates
+) -> tuple[float, float, float, float, float]:
+    """(t1, t2, tc, lam1_hat, lam2_hat): the closed-form bound at each
+    channel's mean degree, and type-I and total devices per unit area."""
+    if graph.n == 0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    d1 = graph.degree1()
+    d2 = graph.degree2()
+    area = graph.region.area
+    return (
+        theta_lower_bound(rates.alpha1, float(d1.mean())),
+        theta_lower_bound(rates.alpha2, float(d2.mean())),
+        theta_lower_bound(rates.alphac, float((d1 + d2).mean())),
+        float((graph.types == TYPE_I).sum() / area),
+        graph.n / area,
+    )
 
 
 def estimate_dissemination(
@@ -281,36 +284,15 @@ def estimate_dissemination(
     """
     rates = spreading_rates(threat)
     seeds = np.random.SeedSequence(config.seed).spawn(config.replications)
-    t1 = np.empty(config.replications)
-    t2 = np.empty(config.replications)
-    tc = np.empty(config.replications)
-    lam1 = np.empty(config.replications)
-    lam2 = np.empty(config.replications)
+    estimates = np.empty((5, config.replications))   # t1, t2, tc, lam1, lam2
     agg = {"1": [], "2": [], "both": [], "combined": []}
-    sub = SimConfig(
-        time_step=config.time_step,
-        burn_in=config.burn_in,
-        measure_steps=config.measure_steps,
-        replications=1,
-        quasi_stationary=config.quasi_stationary,
-        initial_fraction=config.initial_fraction,
-    )
     for i, ss in enumerate(seeds):
         graph_seed = int(ss.generate_state(1)[0])
         graph = sample_graph(params, region, graph_seed)
-        if graph.n == 0:
-            t1[i] = t2[i] = tc[i] = 0.0
-            lam1[i] = lam2[i] = 0.0
-            continue
-        d1 = graph.degree1()
-        d2 = graph.degree2()
-        t1[i] = _threshold_estimate(rates.alpha1, float(d1.mean()))
-        t2[i] = _threshold_estimate(rates.alpha2, float(d2.mean()))
-        tc[i] = _threshold_estimate(rates.alphac, float((d1 + d2).mean()))
-        lam1[i] = (graph.types == TYPE_I).sum() / region.area
-        lam2[i] = graph.n / region.area
-        if run_epidemics:
-            sub_i = SimConfig(**{**sub.__dict__, "seed": graph_seed + 1})
+        estimates[:, i] = _connectivity_estimate(graph, rates)
+        if run_epidemics and graph.n:
+            sub_i = replace(config, replications=1, seed=graph_seed + 1,
+                            record_timeseries=False)
             single = simulate_single(graph, rates.alphac, sub_i)
             dual = simulate_dual(graph, rates.alpha1, rates.alpha2, sub_i)
             agg["combined"].append(single.informed_fraction_combined)
@@ -318,6 +300,7 @@ def estimate_dissemination(
             agg["2"].append(dual.informed_fraction_2)
             agg["both"].append(dual.informed_fraction_both)
 
+    t1, t2, tc, lam1, lam2 = estimates
     out = DisseminationEstimate(
         t1=float(t1.mean()),
         t2=float(t2.mean()),

@@ -16,8 +16,8 @@ import numpy as np
 
 from .degree import NetworkParams, spreading_rates
 from .designer import MissionSpec, optimize
-from .geometry import TYPE_I, Region, sample_graph
-from .montecarlo import SimConfig, _threshold_estimate
+from .geometry import Region, sample_graph
+from .montecarlo import _connectivity_estimate
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,6 @@ def run_mission(
     t_r: int = 50,
     epsilon: float = 0.05,
     horizon: int = 200,
-    sim: SimConfig | None = None,
     seed: int = 0,
     region: Region = Region(10.0, 10.0),
 ) -> ReconfigTrace:
@@ -93,11 +92,7 @@ def run_mission(
         raise ValueError("t_r must be >= 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    sim = sim or SimConfig()
     events = sorted(scenario, key=lambda e: e.time)
-    times = [e.time for e in events]
-    if times != sorted(times):
-        raise ValueError("scenario events must be sorted by time")
 
     initial = optimize(mission)
     if initial.status != "optimal":
@@ -136,17 +131,7 @@ def run_mission(
         graph_seed = int(seed_seq.spawn(1)[0].generate_state(1)[0])
         graph = sample_graph(sample_params, region, graph_seed)
         rates = spreading_rates(replace(current_mission.threat, delta=delta_true))
-        if graph.n:
-            d1 = graph.degree1()
-            d2 = graph.degree2()
-            t1_hat = _threshold_estimate(rates.alpha1, float(d1.mean()))
-            t2_hat = _threshold_estimate(rates.alpha2, float(d2.mean()))
-            tc_hat = _threshold_estimate(rates.alphac, float((d1 + d2).mean()))
-            lam1_hat = (graph.types == TYPE_I).sum() / region.area
-            lam2_hat = graph.n / region.area
-        else:
-            t1_hat = t2_hat = tc_hat = 0.0
-            lam1_hat = lam2_hat = 0.0
+        t1_hat, t2_hat, tc_hat, lam1_hat, lam2_hat = _connectivity_estimate(graph, rates)
 
         trigger = (
             abs(current_mission.t1 - t1_hat) >= epsilon
@@ -155,7 +140,6 @@ def run_mission(
             or delta_true != current_mission.threat.delta
         )
         added1 = added2 = 0.0
-        status = "ok"
         if trigger:
             current_mission = replace(
                 current_mission,
@@ -186,6 +170,6 @@ def run_mission(
             delta_hat=delta_true, recomputed=trigger,
             params=params if trigger else None,
             added_type1=added1, added_type2=added2,
-            cumulative_cost=cumulative_cost, status=status,
+            cumulative_cost=cumulative_cost,
         ))
     return trace

@@ -13,6 +13,20 @@ PARAMS = NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5)
 REGION = Region(10.0, 10.0)
 
 
+def reference_pairs(positions, types, params, region):
+    """Both layers' pairs (i < j) by an O(n^2) distance check."""
+    delta = np.abs(positions[:, None, :] - positions[None, :, :])
+    if region.wrap:
+        delta = np.minimum(delta, np.array([region.width, region.height]) - delta)
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    i, j = np.triu_indices(len(types), k=1)
+    both_type1 = (types[i] == TYPE_I) & (types[j] == TYPE_I)
+    in1 = both_type1 & (dist[i, j] <= params.r1)
+    in2 = dist[i, j] <= params.r2
+    return ([[int(a), int(b)] for a, b in zip(i[in1], j[in1])],
+            [[int(a), int(b)] for a, b in zip(i[in2], j[in2])])
+
+
 class TestSamplePpp:
     def test_count_statistics(self):
         counts = [len(sample_ppp(PARAMS, REGION, seed)[0]) for seed in range(50)]
@@ -78,6 +92,44 @@ class TestBuildRgg:
         assert list(wrapped.adj2[0]) == [1]
         assert list(flat.adj2[0]) == []
 
+    @pytest.mark.parametrize("wrap", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_layers_match_brute_force_reference(self, wrap, seed):
+        region = Region(3.0, 2.0, wrap=wrap)
+        params = NetworkParams(p=0.4, lam=20.0, r1=0.6, r2=0.35)
+        positions, types = sample_ppp(params, region, seed)
+        graph = build_rgg(positions, types, params, region, seed=seed)
+        ref1, ref2 = reference_pairs(positions, types, params, region)
+        assert ref1 and ref2
+        for adj, degree, ref in ((graph.adj1, graph.degree1(), ref1),
+                                 (graph.adj2, graph.degree2(), ref2)):
+            assert len(adj) == graph.n
+            assert np.array_equal(degree, [len(row) for row in adj])
+            arcs = set()
+            for i, row in enumerate(adj):
+                assert np.all(np.diff(row) > 0)
+                assert i not in row
+                arcs.update((i, int(j)) for j in row)
+            assert arcs == {(j, i) for i, j in arcs}
+            assert sorted([i, j] for i, j in arcs if i < j) == ref
+        dumped = graph_to_dict(graph)
+        assert dumped["edges_layer1"] == ref1
+        assert dumped["edges_layer2"] == ref2
+
+    @pytest.mark.parametrize("region", [Region(0.0, 5.0), Region(0.2, 0.2)])
+    def test_tiny_graph_has_one_row_per_node(self, region):
+        graph = sample_graph(PARAMS, region, seed=0)
+        assert graph.n <= 5
+        assert len(graph.adj1) == len(graph.adj2) == graph.n
+        assert len(graph.indptr1) == len(graph.indptr2) == graph.n + 1
+        assert graph_to_dict(graph)["edges_layer2"] == reference_pairs(
+            graph.positions, graph.types, PARAMS, region)[1]
+
+    def test_edges_rejects_unknown_layer(self):
+        graph = sample_graph(PARAMS, Region(1.0, 1.0), seed=0)
+        with pytest.raises(ValueError):
+            graph.edges(3)
+
     def test_combined_degree_is_layer_sum(self):
         graph = sample_graph(PARAMS, REGION, seed=4)
         assert np.array_equal(
@@ -126,3 +178,9 @@ class TestSerialization:
     def test_region_rejects_negative_dimensions(self):
         with pytest.raises(ValueError):
             Region(-1.0, 5.0)
+
+    @pytest.mark.parametrize("width, height", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, -math.inf)])
+    def test_region_rejects_non_finite_dimensions(self, width, height):
+        with pytest.raises(ValueError):
+            Region(width, height)

@@ -22,11 +22,60 @@ def complete_graph(n, region_side=5.0):
     rng = np.random.default_rng(0)
     positions = rng.uniform(0, region_side, size=(n, 2))
     types = np.full(n, TYPE_I, dtype=np.int8)
-    everyone = np.arange(n)
-    adj2 = [np.delete(everyone, i) for i in range(n)]
-    adj1 = [np.empty(0, dtype=np.int64) for _ in range(n)]
-    return MultiplexGraph(positions, types, adj1, adj2,
-                          Region(region_side, region_side), seed=0)
+    indptr2 = np.arange(n + 1, dtype=np.int64) * (n - 1)
+    indices2 = np.array([j for i in range(n) for j in range(n) if j != i], dtype=np.int64)
+    return MultiplexGraph(positions, types,
+                          np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
+                          indptr2, indices2, Region(region_side, region_side), seed=0)
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("fields", [
+        {"burn_in": -1}, {"initial_fraction": -0.1}, {"initial_fraction": 1.5},
+        {"initial_fraction": math.nan}])
+    def test_rejects_out_of_range_fields(self, fields):
+        with pytest.raises(ValueError):
+            SimConfig(**fields)
+
+
+class TestGoldenValues:
+    """Exact results on one small seeded graph.
+
+    Any change to the graph layout or the simulator that moves a single
+    random draw changes these numbers; update them only on purpose.
+    """
+
+    GRAPH = (NetworkParams(p=0.5, lam=20.0, r1=0.7, r2=0.4), Region(3.0, 3.0), 10)
+    CONFIG = SimConfig(burn_in=60, measure_steps=40, replications=3, seed=11)
+
+    def test_graph(self):
+        graph = sample_graph(*self.GRAPH)
+        assert (graph.n, len(graph.indices1) // 2, len(graph.indices2) // 2) == (213, 1108, 1248)
+
+    def test_simulate_single(self):
+        res = simulate_single(sample_graph(*self.GRAPH), 0.45, self.CONFIG)
+        assert res.informed_fraction_combined == 0.8280125195618151
+        assert res.se_combined == 0.004259088354483982
+        assert res.extinctions == 0
+
+    def test_simulate_dual(self):
+        res = simulate_dual(sample_graph(*self.GRAPH), 0.5, 0.4, self.CONFIG)
+        assert res.informed_fraction_1 == 0.4542253521126762
+        assert res.informed_fraction_2 == 0.7190923317683883
+        assert res.informed_fraction_both == 0.3237089201877934
+        assert (res.se_1, res.se_2, res.se_both) == (
+            0.0011559692255628776, 0.007443367130179389, 0.003529593368160119)
+        assert res.extinctions == 0
+
+    def test_estimate_dissemination(self):
+        est = estimate_dissemination(
+            NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5), ThreatModel(delta=0.2),
+            SimConfig(burn_in=30, measure_steps=20, replications=2, seed=3), Region(3.0, 3.0))
+        assert (est.t1, est.t2, est.tc) == (
+            0.837513831033585, 0.9027578497200011, 0.9391724629610421)
+        assert (est.lam1_hat, est.lam2_hat) == (6.333333333333334, 16.055555555555557)
+        assert (est.aggregate_1, est.aggregate_2, est.aggregate_both, est.aggregate_combined) == (
+            0.34410004844961234, 0.8294900678294572, 0.2837609011627906, 0.8710646802325581)
 
 
 class TestSimulateSingle:
