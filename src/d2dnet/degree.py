@@ -43,6 +43,8 @@ class NetworkParams:
     r2: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.p, self.lam, self.r1, self.r2)):
+            raise ValueError("p, lam, r1 and r2 must be finite")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.lam < 0:

@@ -13,6 +13,7 @@ also provided as an independent cross-check.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +76,8 @@ def solve_theta(
     pmf = np.asarray(pmf, dtype=float)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    if (pmf < 0.0).any() or not abs(pmf.sum() - 1.0) <= 1e-9:
+        raise ValueError("pmf must be nonnegative and sum to 1")
     mean, m2 = pmf_moments(pmf)
     k_max = len(pmf) - 1
     if mean <= 0.0 or alpha == 0.0 or alpha * m2 < mean:
@@ -231,6 +234,13 @@ class Trajectory:
 _STATE_SLACK = 1e-6
 
 
+def _check_time_grid(horizon: float, step: float) -> None:
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
+
+
 def integrate_single(
     pmf: np.ndarray,
     alpha: float,
@@ -246,6 +256,7 @@ def integrate_single(
     """
     if not 0.0 <= initial_fraction <= 1.0:
         raise ValueError("initial_fraction must be in [0, 1]")
+    _check_time_grid(horizon, step)
     pmf = np.asarray(pmf, dtype=float)
     mean, _ = pmf_moments(pmf)
     k = np.arange(len(pmf), dtype=float)
@@ -284,6 +295,7 @@ def integrate_dual(
     """
     if not 0.0 <= initial_fraction <= 1.0:
         raise ValueError("initial_fraction must be in [0, 1]")
+    _check_time_grid(horizon, step)
     joint = np.asarray(joint_pmf, dtype=float)
     kk, ll = joint.shape
     k = np.arange(kk, dtype=float)[:, None]

@@ -5,12 +5,21 @@ informed/uninformed dynamics with unit annihilation rate, discretized
 with step h, run to a quasi-stationary regime.  Finite graphs absorb at
 the all-uninformed state, so on extinction the state is regenerated by
 re-seeding one random node (standard quasi-stationary handling).
+
+All R replications advance together: a message's state is an (n, R)
+boolean matrix, one column per replication, and each step is one sparse
+matrix product per layer plus one uniform draw per node and
+replication.  Every call draws from one generator seeded with
+``SimConfig.seed``, so results are bit-for-bit deterministic per seed;
+since the replications share that stream, a replication's path also
+depends on R.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix, identity
 
 from .degree import NetworkParams, SpreadingRates, ThreatModel, spreading_rates
 from .geometry import TYPE_I, MultiplexGraph, Region, sample_graph
@@ -55,41 +64,125 @@ class SimResult:
     se_2: float | None = None
     se_both: float | None = None
     se_combined: float | None = None
-    extinctions: int = 0
+    extinctions: int = 0     # replications that went extinct at least once
+    regenerations: int = 0   # quasi-stationary re-seedings, over all replications
     timeseries: np.ndarray | None = None   # (replication, step, channel)
 
 
-def _replication_rngs(seed: int, n: int) -> list[np.random.Generator]:
-    """Independent per-replication generators from one master seed."""
-    return [np.random.Generator(np.random.PCG64(s)) for s in np.random.SeedSequence(seed).spawn(n)]
-
-
-def _seed_initial(n: int, fraction: float, rng: np.random.Generator,
-                  eligible: np.ndarray | None = None) -> np.ndarray:
-    informed = np.zeros(n, dtype=bool)
-    pool = np.arange(n) if eligible is None else eligible
+def _seed_initial(n: int, replications: int, fraction: float,
+                  pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """(n, replications) start state: each column informs the same share of ``pool``."""
+    informed = np.zeros((n, replications), dtype=bool)
     count = max(1, int(round(fraction * len(pool)))) if len(pool) else 0
     if count:
-        informed[rng.choice(pool, size=count, replace=False)] = True
+        for column in informed.T:
+            column[rng.choice(pool, size=count, replace=False)] = True
     return informed
 
 
-def _step_sis(
-    informed: np.ndarray,
-    src: np.ndarray,
-    dst: np.ndarray,
-    p_tx: float,
-    p_rec: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One synchronous update; at most one status change per node."""
-    received = np.zeros(len(informed), dtype=bool)
-    if p_tx > 0.0:
-        active = informed[src]
-        hits = dst[active][rng.random(int(active.sum())) < p_tx]
-        received[hits] = True
-    recover = informed & (rng.random(len(informed)) < p_rec)
-    return (informed & ~recover) | (~informed & received)
+@dataclass(frozen=True)
+class _Channel:
+    """One message's spreading layer, set up for ``_step``."""
+
+    counts: csr_matrix       # adjacency plus ``mark`` on the diagonal
+    threshold: np.ndarray    # indexed by a row of ``counts @ informed``
+    pool: np.ndarray         # nodes a quasi-stationary regeneration may re-seed
+    regenerate: bool
+
+
+def _layer(graph: MultiplexGraph, layer: int) -> csr_matrix:
+    indptr, indices = ((graph.indptr1, graph.indices1) if layer == 1
+                       else (graph.indptr2, graph.indices2))
+    return csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr),
+                      shape=(graph.n, graph.n))
+
+
+def _channel(adjacency: csr_matrix, alpha: float, pool: np.ndarray,
+             config: SimConfig) -> _Channel:
+    # A diagonal entry above every row sum makes row i of counts @ X equal
+    # m_i + mark * x_i, with m_i the informed-neighbour count: one lookup
+    # then gives an uninformed node (1 - p_tx)^m_i, the chance that none
+    # of its m_i transmissions gets through, and an informed node p_rec.
+    p_tx, p_rec = alpha * config.time_step, config.time_step
+    mark = int(adjacency.sum(axis=1).max()) + 1
+    counts = adjacency + mark * identity(adjacency.shape[0], dtype=np.int32, format="csr")
+    threshold = np.concatenate([(1.0 - p_tx) ** np.arange(mark), np.full(mark, p_rec)])
+    return _Channel(counts, threshold, pool,
+                    config.quasi_stationary and p_tx > 0.0 and len(pool) > 0)
+
+
+def _step(informed: np.ndarray, channel: _Channel, rng: np.random.Generator) -> np.ndarray:
+    """One synchronous update of every replication (column) at once.
+
+    One uniform u per node and replication: an informed node recovers if
+    u < p_rec, an uninformed one with m informed neighbours is informed
+    if u >= (1 - p_tx)^m.  That is the law of independent per-edge
+    transmissions, with at most one status change per node.
+    """
+    u = rng.random(informed.shape)
+    return u >= channel.threshold.take(channel.counts @ informed)
+
+
+def _standard_error(values: np.ndarray) -> float:
+    if len(values) < 2:
+        return 0.0
+    return float(values.std(ddof=1) / np.sqrt(len(values)))
+
+
+def _simulate(graph: MultiplexGraph, channels: list[_Channel], config: SimConfig
+              ) -> tuple[np.ndarray, list[float], int, int, np.ndarray | None]:
+    """Run one or two messages over all replications as (n, R) states.
+
+    With two messages, a node whose status would flip for both in the
+    same step keeps one of the two changes, chosen by a fair coin.
+    Returns the replication means of the time-averaged fractions (one
+    per message, plus both-informed with two messages), their standard
+    errors, the replications that ever went extinct, the number of
+    regenerations and the optional (R, steps, rows) time series.
+    """
+    n, reps = graph.n, config.replications
+    rng = np.random.default_rng(config.seed)
+    states = [_seed_initial(n, reps, config.initial_fraction, ch.pool, rng) for ch in channels]
+    rows = 1 if len(channels) == 1 else 3
+    steps = config.burn_in + config.measure_steps
+    series = np.empty((reps, steps, rows)) if config.record_timeseries else None
+    totals = np.zeros((rows, reps))
+    fracs = np.empty((rows, reps))
+    went_extinct = np.zeros(reps, dtype=bool)
+    regenerations = 0
+    # Column counts as a product with ones: exact, and faster than a sum
+    # along the strided first axis of an (n, R) array.
+    ones = np.ones(n)
+    for step in range(steps):
+        new = [_step(x, ch, rng) for x, ch in zip(states, channels)]
+        if len(new) == 2:
+            both_changed = (new[0] != states[0]) & (new[1] != states[1])
+            count = int(np.count_nonzero(both_changed))
+            if count:
+                keep_first = np.zeros_like(both_changed)
+                keep_first[both_changed] = rng.random(count) < 0.5
+                new[1] ^= keep_first
+                new[0] ^= both_changed & ~keep_first
+        for i, (x, ch) in enumerate(zip(new, channels)):
+            informed = ones @ x
+            empty = np.flatnonzero(informed == 0)
+            if len(empty):
+                went_extinct[empty] = True
+                if ch.regenerate:
+                    x[rng.choice(ch.pool, size=len(empty)), empty] = True
+                    informed[empty] = 1
+                    regenerations += len(empty)
+            fracs[i] = informed / n
+        if rows == 3:
+            fracs[2] = ones @ (new[0] & new[1]) / n
+        states = new
+        if series is not None:
+            series[:, step] = fracs.T
+        if step >= config.burn_in:
+            totals += fracs
+    means = totals / config.measure_steps
+    return (means.mean(axis=1), [_standard_error(m) for m in means],
+            int(went_extinct.sum()), regenerations, series)
 
 
 def simulate_single(
@@ -100,49 +193,18 @@ def simulate_single(
         raise ValueError("graph must be nonempty")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    # Concatenating both layers keeps the layer-1/layer-2 duplicate pairs,
-    # giving type-I pairs within r2 two transmission chances per step.
-    (src1, dst1), (src2, dst2) = graph.edges(1), graph.edges(2)
-    src, dst = np.concatenate([src1, src2]), np.concatenate([dst1, dst2])
-    h = config.time_step
-    p_tx = alpha * h
-    fractions = np.empty(config.replications)
-    extinctions = 0
-    series = (
-        np.empty((config.replications, config.burn_in + config.measure_steps, 1))
-        if config.record_timeseries
-        else None
-    )
-    for rep, rng in enumerate(_replication_rngs(config.seed, config.replications)):
-        informed = _seed_initial(graph.n, config.initial_fraction, rng)
-        total = 0.0
-        went_extinct = False
-        for step in range(config.burn_in + config.measure_steps):
-            informed = _step_sis(informed, src, dst, p_tx, h, rng)
-            if not informed.any():
-                went_extinct = True
-                if config.quasi_stationary and p_tx > 0.0:
-                    informed[rng.integers(graph.n)] = True
-            frac = informed.sum() / graph.n
-            if series is not None:
-                series[rep, step, 0] = frac
-            if step >= config.burn_in:
-                total += frac
-        fractions[rep] = total / config.measure_steps
-        if went_extinct:
-            extinctions += 1
+    # A type-I pair within r2 is a neighbour in both layers: its entry of
+    # 2 gives it two transmission chances per step.
+    combined = _layer(graph, 1) + _layer(graph, 2)
+    channel = _channel(combined, alpha, np.arange(graph.n), config)
+    means, ses, extinctions, regenerations, series = _simulate(graph, [channel], config)
     return SimResult(
-        informed_fraction_combined=float(fractions.mean()),
-        se_combined=_standard_error(fractions),
+        informed_fraction_combined=float(means[0]),
+        se_combined=ses[0],
         extinctions=extinctions,
+        regenerations=regenerations,
         timeseries=series,
     )
-
-
-def _standard_error(values: np.ndarray) -> float:
-    if len(values) < 2:
-        return 0.0
-    return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
 def simulate_dual(
@@ -158,64 +220,20 @@ def simulate_dual(
     for a in (alpha1, alpha2):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {a}")
-    src1, dst1 = graph.edges(1)
-    src2, dst2 = graph.edges(2)
-    h = config.time_step
+    # Message 1 can only ever reach type-I devices (layer-1 edges).
     type1_nodes = np.flatnonzero(graph.types == TYPE_I)
-    f1 = np.empty(config.replications)
-    f2 = np.empty(config.replications)
-    fb = np.empty(config.replications)
-    extinctions = 0
-    series = (
-        np.empty((config.replications, config.burn_in + config.measure_steps, 3))
-        if config.record_timeseries
-        else None
-    )
-    for rep, rng in enumerate(_replication_rngs(config.seed, config.replications)):
-        # Message 1 can only ever reach type-I devices (layer-1 edges).
-        inf1 = _seed_initial(graph.n, config.initial_fraction, rng, eligible=type1_nodes)
-        inf2 = _seed_initial(graph.n, config.initial_fraction, rng)
-        t1 = t2 = tb = 0.0
-        went_extinct = False
-        for step in range(config.burn_in + config.measure_steps):
-            new1 = _step_sis(inf1, src1, dst1, alpha1 * h, h, rng)
-            new2 = _step_sis(inf2, src2, dst2, alpha2 * h, h, rng)
-            both_changed = (new1 != inf1) & (new2 != inf2)
-            if both_changed.any():
-                keep_first = rng.random(int(both_changed.sum())) < 0.5
-                idx = np.flatnonzero(both_changed)
-                new2[idx[keep_first]] = inf2[idx[keep_first]]
-                new1[idx[~keep_first]] = inf1[idx[~keep_first]]
-            inf1, inf2 = new1, new2
-            if not inf1.any():
-                went_extinct = True
-                if config.quasi_stationary and alpha1 * h > 0 and len(type1_nodes):
-                    inf1[rng.choice(type1_nodes)] = True
-            if not inf2.any():
-                went_extinct = True
-                if config.quasi_stationary and alpha2 * h > 0:
-                    inf2[rng.integers(graph.n)] = True
-            fr1 = inf1.sum() / graph.n
-            fr2 = inf2.sum() / graph.n
-            frb = (inf1 & inf2).sum() / graph.n
-            if series is not None:
-                series[rep, step] = (fr1, fr2, frb)
-            if step >= config.burn_in:
-                t1 += fr1
-                t2 += fr2
-                tb += frb
-        m = config.measure_steps
-        f1[rep], f2[rep], fb[rep] = t1 / m, t2 / m, tb / m
-        if went_extinct:
-            extinctions += 1
+    channels = [_channel(_layer(graph, 1), alpha1, type1_nodes, config),
+                _channel(_layer(graph, 2), alpha2, np.arange(graph.n), config)]
+    means, ses, extinctions, regenerations, series = _simulate(graph, channels, config)
     return SimResult(
-        informed_fraction_1=float(f1.mean()),
-        informed_fraction_2=float(f2.mean()),
-        informed_fraction_both=float(fb.mean()),
-        se_1=_standard_error(f1),
-        se_2=_standard_error(f2),
-        se_both=_standard_error(fb),
+        informed_fraction_1=float(means[0]),
+        informed_fraction_2=float(means[1]),
+        informed_fraction_both=float(means[2]),
+        se_1=ses[0],
+        se_2=ses[1],
+        se_both=ses[2],
         extinctions=extinctions,
+        regenerations=regenerations,
         timeseries=series,
     )
 

@@ -46,6 +46,14 @@ class TestConfigHandling:
                                       "--out", str(tmp_path)])
         assert result.exit_code == 2
 
+    def test_non_finite_parameter_is_config_error(self, runner, tmp_path):
+        config = write_config(tmp_path, {
+            "params": {"p": 0.4, "lambda": float("nan"), "r1_m": 1000, "r2_m": 500}})
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
 
 class TestDegreeCommand:
     def test_no_dual_radio_devices(self, runner, tmp_path):

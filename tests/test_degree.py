@@ -201,6 +201,12 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             NetworkParams(p=0.5, lam=-1.0, r1=0.5, r2=0.3)
 
+    @pytest.mark.parametrize("fields", [
+        {"lam": math.nan}, {"lam": math.inf}, {"r1": math.inf}, {"r2": math.nan}])
+    def test_rejects_non_finite_values(self, fields):
+        with pytest.raises(ValueError):
+            NetworkParams(**{"p": 0.5, "lam": 10.0, "r1": 0.5, "r2": 0.3, **fields})
+
     def test_rejects_invalid_threat(self):
         with pytest.raises(ValueError):
             ThreatModel(delta=1.5)

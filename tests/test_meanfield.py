@@ -54,6 +54,11 @@ class TestSolveTheta:
             b = solve_theta_damped(pmf, alpha)
             assert a.theta == pytest.approx(b.theta, abs=1e-7)
 
+    @pytest.mark.parametrize("pmf", [[0.5, -0.1, 0.6], [0.2, 0.3, 0.4], [0.5, math.nan, 0.5]])
+    def test_rejects_invalid_pmf(self, pmf):
+        with pytest.raises(ValueError):
+            solve_theta(np.array(pmf), 0.5)
+
     @given(mean=st.floats(1.5, 25.0), alpha=st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
     def test_fixed_point_residual(self, mean, alpha):
@@ -139,6 +144,12 @@ class TestIntegrateSingle:
         assert np.all(traj.states >= -1e-9)
         assert np.all(traj.states <= 1.0 + 1e-9)
 
+    @pytest.mark.parametrize("grid", [
+        {"step": 0.0}, {"step": -0.01}, {"horizon": math.inf}, {"horizon": math.nan}])
+    def test_rejects_invalid_time_grid(self, grid):
+        with pytest.raises(ValueError):
+            integrate_single(poisson_pmf(8.0), 0.5, 0.1, **{"horizon": 10.0, **grid})
+
 
 class TestIntegrateDual:
     def test_zero_rates_keep_everyone_uninformed(self):
@@ -155,6 +166,11 @@ class TestIntegrateDual:
         # Last state layout: (3, K+1, L+1) = (IU, UI, II) per class.
         terminal_ii = traj.states[-1, 2]
         assert np.allclose(terminal_ii, eq.ii, atol=1e-3)
+
+    def test_rejects_zero_step(self):
+        joint = np.outer(poisson_pmf(4.0, 20), poisson_pmf(4.0, 20))
+        with pytest.raises(ValueError):
+            integrate_dual(joint, 0.5, 0.5, initial_fraction=0.1, horizon=5.0, step=0.0)
 
     def test_state_sums_conserved(self):
         pmf1 = poisson_pmf(5.0, 25)

@@ -14,7 +14,8 @@ from d2dnet import (
     simulate_dual,
     simulate_single,
 )
-from d2dnet.geometry import TYPE_I, MultiplexGraph
+from d2dnet.geometry import TYPE_I, TYPE_II, MultiplexGraph
+from d2dnet.montecarlo import _channel, _layer, _step
 
 
 def complete_graph(n, region_side=5.0):
@@ -38,6 +39,30 @@ class TestSimConfig:
             SimConfig(**fields)
 
 
+class TestStepLaw:
+    def test_one_step_matches_per_edge_law(self):
+        # Nodes 0, 1 are type I; layer 1 is the pair 0-1 and layer 2 the
+        # cycle 0-1-2-3-0, so the combined pair 0-1 has multiplicity 2.
+        graph = MultiplexGraph(
+            np.zeros((4, 2)), np.array([TYPE_I, TYPE_I, TYPE_II, TYPE_II], dtype=np.int8),
+            np.array([0, 1, 2, 2, 2]), np.array([1, 0]),
+            np.array([0, 2, 4, 6, 8]), np.array([1, 3, 0, 2, 1, 3, 0, 2]),
+            Region(1.0, 1.0), seed=0)
+        alpha, h, reps = 0.5, 0.3, 20_000
+        channel = _channel(_layer(graph, 1) + _layer(graph, 2), alpha, np.arange(4),
+                           SimConfig(time_step=h))
+        informed = np.zeros((4, reps), dtype=bool)
+        informed[[0, 2]] = True
+        freq = _step(informed, channel, np.random.default_rng(1)).mean(axis=1)
+        # Informed nodes stay informed unless they recover (probability h).
+        # Informed-neighbour counts with multiplicity: node 1 hears node 0
+        # twice and node 2 once, node 3 hears nodes 0 and 2 once each.
+        expected = {0: 1 - h, 1: 1 - (1 - alpha * h) ** 3,
+                    2: 1 - h, 3: 1 - (1 - alpha * h) ** 2}
+        for node, e in expected.items():
+            assert abs(freq[node] - e) < 5 * math.sqrt(e * (1 - e) / reps), node
+
+
 class TestGoldenValues:
     """Exact results on one small seeded graph.
 
@@ -54,17 +79,17 @@ class TestGoldenValues:
 
     def test_simulate_single(self):
         res = simulate_single(sample_graph(*self.GRAPH), 0.45, self.CONFIG)
-        assert res.informed_fraction_combined == 0.8280125195618151
-        assert res.se_combined == 0.004259088354483982
+        assert res.informed_fraction_combined == 0.8237871674491393
+        assert res.se_combined == 0.005097345156805718
         assert res.extinctions == 0
 
     def test_simulate_dual(self):
         res = simulate_dual(sample_graph(*self.GRAPH), 0.5, 0.4, self.CONFIG)
-        assert res.informed_fraction_1 == 0.4542253521126762
-        assert res.informed_fraction_2 == 0.7190923317683883
-        assert res.informed_fraction_both == 0.3237089201877934
+        assert res.informed_fraction_1 == 0.46240219092331764
+        assert res.informed_fraction_2 == 0.729733959311424
+        assert res.informed_fraction_both == 0.3362284820031298
         assert (res.se_1, res.se_2, res.se_both) == (
-            0.0011559692255628776, 0.007443367130179389, 0.003529593368160119)
+            0.00044090092604007875, 0.009605389165464868, 0.0063370620798127)
         assert res.extinctions == 0
 
     def test_estimate_dissemination(self):
@@ -75,7 +100,7 @@ class TestGoldenValues:
             0.837513831033585, 0.9027578497200011, 0.9391724629610421)
         assert (est.lam1_hat, est.lam2_hat) == (6.333333333333334, 16.055555555555557)
         assert (est.aggregate_1, est.aggregate_2, est.aggregate_both, est.aggregate_combined) == (
-            0.34410004844961234, 0.8294900678294572, 0.2837609011627906, 0.8710646802325581)
+            0.34246245155038757, 0.8541303294573643, 0.29596899224806195, 0.8686337209302325)
 
 
 class TestSimulateSingle:
@@ -117,6 +142,14 @@ class TestSimulateSingle:
         se2 = simulate_single(graph, 0.35, doubled).se_combined
         ratio = se2 / se1
         assert ratio == pytest.approx(1 / math.sqrt(2), rel=0.2)
+
+    def test_regenerations_counted(self):
+        graph = sample_graph(NetworkParams(p=0.3, lam=20.0, r1=0.6, r2=0.4),
+                             Region(3.0, 3.0), seed=6)
+        config = SimConfig(burn_in=100, measure_steps=50, replications=4, seed=6)
+        res = simulate_single(graph, 1e-4, config)
+        assert res.regenerations > 0
+        assert res.regenerations >= res.extinctions
 
     def test_timeseries_shape(self):
         graph = sample_graph(NetworkParams(p=0.3, lam=20.0, r1=0.6, r2=0.4),
