@@ -2,10 +2,13 @@
 
 The mission thresholds on informed proportions translate (via the
 closed-form equilibrium bound) into minimum mean-degree requirements;
-minimizing the deployment-plus-power cost over (p, lam, r1, r2) subject
-to those requirements and box bounds is then a smooth 4-d problem.  A
-multi-start SLSQP solve is cross-validated by an exhaustive grid oracle
-with one local refinement pass.
+the deployment-plus-power cost is minimised over (p, lam, r1, r2)
+subject to those requirements, r1 >= r2 and box bounds.  For fixed
+(p, lam) the cost rises in both ranges, so the cheapest ranges have a
+closed form (the combined requirement, when it binds, leaves a 1-D
+convex split between the layers).  What remains is a 2-D search over
+the (p, lam) box: a dense grid, a few zooms and one bounded polish.  An
+exhaustive 4-d grid oracle is kept for validation.
 """
 from __future__ import annotations
 
@@ -41,8 +44,13 @@ class MissionSpec:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {v}")
-        if self.eta < 2:
-            raise ValueError(f"eta must be >= 2, got {self.eta}")
+        # The closed-form range solve needs a cost that rises in r1 and r2.
+        if not (math.isfinite(self.eta) and self.eta >= 2):
+            raise ValueError(f"eta must be finite and >= 2, got {self.eta}")
+        for name in ("w1", "w2", "c"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
 
     def required_degrees(self) -> tuple[float, float, float]:
         """Minimum (E[K1], E[K2], E[Kc]) implied by the thresholds."""
@@ -159,151 +167,120 @@ def _solution_from_point(x, mission: MissionSpec) -> DesignSolution:
     )
 
 
-def _clip_to_box(x, b: ParamBounds):
-    p = min(max(x[0], b.p_min), b.p_max)
-    lam = min(max(x[1], b.lambda_min), b.lambda_max)
-    r1 = min(max(x[2], b.r1_min), b.r1_max)
-    r2 = min(max(x[3], b.r2_min), min(b.r2_max, r1))
-    return np.array([p, lam, r1, r2])
+_GRID = 129        # points per axis of the first (p, lam) grid
+_ZOOM_GRID = 17    # points per axis of each zoomed grid
+_ZOOMS = 3
 
 
-def _surface_start(mission: MissionSpec, p: float, lam: float) -> np.ndarray | None:
-    """Point on the degree-constraint surface at given (p, lam), if in box."""
+def _ranges(mission: MissionSpec, p, lam):
+    """Cheapest squared ranges (a, b) = (r1^2, r2^2) at each (p, lam).
+
+    The range cost p*a^q + b^q (q = eta/2 >= 1) rises in a and b, so the
+    per-layer and box lower bounds (with a >= b) are optimal unless the
+    combined requirement p^2*a + b >= S fails there.  Then it binds, and
+    along p^2*a + b = S the cost is convex in b with its stationary point
+    at b = k*S/(p^2 + k), k = p^(-1/(q-1)) >= 1 because p <= 1 (for q = 1
+    the cost falls in b).  That point is never below S/(1 + p^2), where
+    a = b, so clamped to the feasible interval it is always the upper
+    end: layer 2 takes as much of S as r2 <= r1, r2_max and the layer-1
+    lower bound allow.  Infeasible (p, lam) get nan.
+    """
     req1, req2, reqc = mission.required_degrees()
-    b = mission.bounds
-    if p <= 0 or lam <= 0:
-        return None
-    r2 = math.sqrt(req2 / (lam * math.pi))
-    r1 = math.sqrt(req1 / (p * p * lam * math.pi))
-    # Top up r1 if the combined requirement still binds.
-    k1_needed = reqc - lam * math.pi * min(r2, b.r2_max) ** 2
-    if k1_needed > req1:
-        r1 = math.sqrt(k1_needed / (p * p * lam * math.pi))
-    x = _clip_to_box(np.array([p, lam, max(r1, r2), r2]), b)
-    k1, k2, kc = _mean_degrees(*x)
-    if k1 >= req1 and k2 >= req2 and kc >= reqc:
-        return x
-    return None
+    box = mission.bounds
+    a_hi, b_hi = box.r1_max ** 2, box.r2_max ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pp = p * p
+        area = lam * math.pi
+        a_lo = np.maximum(box.r1_min ** 2, req1 / (pp * area))
+        b_lo = np.maximum(box.r2_min ** 2, req2 / area)
+        s = reqc / area
+        a = np.maximum(a_lo, b_lo)
+        binds = pp * a + b_lo < s
+        b_line = np.minimum(np.minimum(b_hi, s - pp * a_lo), s / (1.0 + pp))
+        a_line = (s - b_line) / pp
+        ok = np.where(binds, np.maximum(b_lo, s - pp * a_hi) <= b_line,
+                      (a <= a_hi) & (b_lo <= b_hi))
+    a = np.where(binds, a_line, a)
+    b = np.where(binds, b_line, b_lo)
+    return np.where(ok, a, np.nan), np.where(ok, b, np.nan)
 
 
-def _start_points(mission: MissionSpec, n_random: int = 5) -> list[np.ndarray]:
+def _reduced_cost(mission: MissionSpec, p, lam):
+    """Cost at the cheapest ranges for each (p, lam); inf where infeasible."""
+    a, b = _ranges(mission, p, lam)
+    total = _cost_xyzw(p, lam, np.sqrt(a), np.sqrt(b), mission)
+    return np.where(np.isnan(total), math.inf, total)
+
+
+def _search(mission: MissionSpec) -> np.ndarray | None:
+    """Minimise the reduced cost over the (p, lam) box: grid, zoom, polish."""
     b = mission.bounds
-    corner = np.array(_corner_params(b))
-    mid = np.array([
-        0.5 * (b.p_min + b.p_max),
-        0.5 * (b.lambda_min + b.lambda_max),
-        0.5 * (b.r1_min + b.r1_max),
-        0.5 * (b.r2_min + b.r2_max),
-    ])
-    starts = [corner, _clip_to_box(mid, b), _clip_to_box(0.5 * (corner + mid), b)]
-    # Feasible points on the constraint surface make reliable starts when
-    # the feasible set is a thin sliver of the box.
-    for p in (b.p_max, 0.75 * b.p_max + 0.25 * b.p_min, 0.5 * (b.p_min + b.p_max)):
-        for lam in (b.lambda_max, 0.5 * (b.lambda_min + b.lambda_max)):
-            x = _surface_start(mission, p, lam)
-            if x is not None:
-                starts.append(x)
-    rng = np.random.default_rng(12345)   # fixed: optimize() is deterministic
-    for _ in range(n_random):
-        u = rng.random(4)
-        x = np.array([
-            b.p_min + u[0] * (b.p_max - b.p_min),
-            b.lambda_min + u[1] * (b.lambda_max - b.lambda_min),
-            b.r1_min + u[2] * (b.r1_max - b.r1_min),
-            b.r2_min + u[3] * (b.r2_max - b.r2_min),
-        ])
-        starts.append(_clip_to_box(x, b))
-    return starts
+    box_lo = np.array([b.p_min, b.lambda_min])
+    box_hi = np.array([b.p_max, b.lambda_max])
+    lo, hi, n = box_lo, box_hi, _GRID
+    best_x, best_cost = None, math.inf
+    for _ in range(_ZOOMS + 1):
+        ps = np.linspace(lo[0], hi[0], n)
+        lams = np.linspace(lo[1], hi[1], n)
+        costs = _reduced_cost(mission, ps[:, None], lams[None, :])
+        i, j = np.unravel_index(np.argmin(costs), costs.shape)
+        if costs[i, j] < best_cost:
+            best_x, best_cost = np.array([ps[i], lams[j]]), float(costs[i, j])
+        if best_x is None:
+            return None
+        # Zoom to the grid cells around the argmin.
+        lo = np.array([ps[max(i - 1, 0)], lams[max(j - 1, 0)]])
+        hi = np.array([ps[min(i + 1, n - 1)], lams[min(j + 1, n - 1)]])
+        n = _ZOOM_GRID
+    # Simplex edges of one cell of a further zoom, pointing into the box.
+    step = (hi - lo) / (n - 1)
+    step = np.where(best_x + step <= box_hi, step, -step)
+    res = minimize(
+        lambda x: float(_reduced_cost(mission, x[0], x[1])),
+        best_x,
+        method="Nelder-Mead",
+        bounds=list(zip(box_lo, box_hi)),
+        options={
+            "initial_simplex": [best_x, best_x + [step[0], 0.0], best_x + [0.0, step[1]]],
+            "xatol": 1e-9, "fatol": 1e-12 * best_cost,
+        },
+    )
+    return res.x if res.fun < best_cost else best_x
+
+
+def _infeasible(mission: MissionSpec, violated) -> DesignSolution:
+    p, lam, r1, r2 = _corner_params(mission.bounds)
+    corner = NetworkParams(p=p, lam=lam, r1=r1, r2=r2)
+    return DesignSolution(
+        params=None,
+        cost=math.inf,
+        slacks=feasible(corner, mission),
+        active_set=tuple(violated),
+        status="infeasible",
+    )
 
 
 def optimize(mission: MissionSpec) -> DesignSolution:
     """Minimize the cost over (p, lam, r1, r2) subject to the mission.
 
     Infeasibility is certified exactly at the box corner (the degree
-    expressions are monotone in every variable).  Otherwise a
-    multi-start SLSQP solve is run and near-ties are broken
-    lexicographically by (lam, r1, r2, p).
+    expressions are monotone in every variable).  Otherwise the ranges
+    are solved in closed form for each (p, lam) (see ``_ranges``), and
+    the reduced cost is minimised over the (p, lam) box by a dense grid,
+    a few zooms around its argmin and one bounded Nelder-Mead polish.
+    The search is deterministic and uses no random starts.
     """
     violated = certify_infeasible(mission)
     if violated:
-        b = mission.bounds
-        p, lam, r1, r2 = _corner_params(b)
-        corner = NetworkParams(p=p, lam=lam, r1=r1, r2=r2)
-        return DesignSolution(
-            params=None,
-            cost=math.inf,
-            slacks=feasible(corner, mission),
-            active_set=tuple(violated),
-            status="infeasible",
-        )
-    req1, req2, reqc = mission.required_degrees()
-    b = mission.bounds
-
-    def objective(x):
-        return _cost_xyzw(x[0], x[1], x[2], x[3], mission)
-
-    constraints = [
-        {"type": "ineq", "fun": lambda x: _mean_degrees(*x)[0] - req1},
-        {"type": "ineq", "fun": lambda x: _mean_degrees(*x)[1] - req2},
-        {"type": "ineq", "fun": lambda x: _mean_degrees(*x)[2] - reqc},
-        {"type": "ineq", "fun": lambda x: x[2] - x[3]},
-    ]
-    box = [
-        (b.p_min, b.p_max),
-        (b.lambda_min, b.lambda_max),
-        (b.r1_min, b.r1_max),
-        (b.r2_min, b.r2_max),
-    ]
-    def attempt(x0):
-        res = minimize(
-            objective,
-            x0,
-            method="SLSQP",
-            bounds=box,
-            constraints=constraints,
-            options={"maxiter": 400, "ftol": 1e-12},
-        )
-        x = _clip_to_box(res.x, b)
-        k1, k2, kc = _mean_degrees(*x)
-        # Degrees are linear in lam: a small residual violation from the
-        # solver is repaired by scaling the density up.
-        ratios = [req1 / k1 if k1 > 0 else math.inf,
-                  req2 / k2 if k2 > 0 else math.inf,
-                  reqc / kc if kc > 0 else math.inf]
-        factor = max(1.0, max(r for r in ratios if r > 0))
-        if 1.0 < factor <= 1.01 and x[1] * factor <= b.lambda_max:
-            x = x.copy()
-            x[1] *= factor
-            k1, k2, kc = _mean_degrees(*x)
-        feas_tol = 1e-9 * max(1.0, reqc)
-        if k1 >= req1 - feas_tol and k2 >= req2 - feas_tol and kc >= reqc - feas_tol:
-            return x
-        return None
-
-    candidates = []
-    for x0 in _start_points(mission):
-        x = attempt(x0)
-        if x is not None:
-            candidates.append(x)
-    # Starts that were already feasible remain valid fallbacks.
-    for x0 in _start_points(mission):
-        k1, k2, kc = _mean_degrees(*x0)
-        if k1 >= req1 and k2 >= req2 and kc >= reqc:
-            candidates.append(np.asarray(x0))
-    if not candidates:
-        candidates.append(np.array(_corner_params(b)))
-
-    def rank(x):
-        return (
-            round(objective(x), 9),
-            round(x[1], 9), round(x[2], 9), round(x[3], 9), round(x[0], 9),
-        )
-
-    best = min(candidates, key=rank)
-    polished = attempt(best)
-    if polished is not None and rank(polished) < rank(best):
-        best = polished
-    return _solution_from_point(best, mission)
+        return _infeasible(mission, violated)
+    x = _search(mission)
+    if x is None:
+        # The corner certificate passed, so only r2_min > r1_max is left:
+        # no design has r1 >= r2.
+        return _infeasible(mission, ("range_order",))
+    p, lam = float(x[0]), float(x[1])
+    a, b = _ranges(mission, p, lam)
+    return _solution_from_point((p, lam, math.sqrt(a), math.sqrt(b)), mission)
 
 
 def grid_oracle(mission: MissionSpec, n: int = 40, refine: int = 1) -> DesignSolution:

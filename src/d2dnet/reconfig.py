@@ -31,6 +31,8 @@ class ScenarioEvent:
     new_delta: float | None = None
 
     def __post_init__(self):
+        if not float(self.time).is_integer():
+            raise ValueError(f"event time must be a finite integer, got {self.time}")
         if self.time < 0:
             raise ValueError("event time must be nonnegative")
         if self.kind not in ("device_loss", "threat_change"):

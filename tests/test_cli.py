@@ -194,6 +194,15 @@ class TestDesignCommand:
         assert [r["status"] for r in rows] == ["optimal", "optimal", "infeasible"]
         assert rows[2]["cost"] == ""
 
+    def test_non_finite_eta_is_config_error(self, runner, tmp_path):
+        config = write_config(tmp_path, {
+            "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8, "eta": float("nan")},
+        })
+        result = runner.invoke(main, ["design", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "eta" in result.output
+
     def test_unknown_sweep_variable(self, runner, tmp_path):
         config = write_config(tmp_path, {
             "mission": {"t1": 0.5, "t2": 0.5, "tc": 0.5},

@@ -1,5 +1,9 @@
 """Cost-minimal design: thresholds, feasibility, optimizer and sweeps."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,14 +23,31 @@ from d2dnet import (
 )
 from d2dnet.designer import (
     UnattainableThresholdError,
+    _ranges,
     certify_infeasible,
     grid_oracle,
 )
 
 
-def make_mission(t1, t2, tc, delta, bounds):
+def make_mission(t1, t2, tc, delta, bounds, **weights):
     return MissionSpec(t1=t1, t2=t2, tc=tc, threat=ThreatModel(delta=delta),
-                       bounds=bounds)
+                       bounds=bounds, **weights)
+
+
+# (t_intra, tc) missions next to the density cap of the Section V box.
+NEAR_CAP = [(0.91, 0.5), (0.91, 0.8), (0.9, 0.5), (0.9, 0.8)]
+
+
+class TestMissionSpec:
+    @pytest.mark.parametrize("field, value", [
+        ("eta", math.nan), ("eta", math.inf), ("eta", 1.5),
+        ("w1", -1.0), ("w1", math.nan),
+        ("w2", -1.0), ("w2", math.inf),
+        ("c", -1.0), ("c", math.nan),
+    ])
+    def test_rejects_invalid_weights(self, section_v_bounds, field, value):
+        with pytest.raises(ValueError, match=field):
+            make_mission(0.5, 0.5, 0.5, 0.0, section_v_bounds, **{field: value})
 
 
 class TestThresholdMap:
@@ -135,6 +156,12 @@ class TestOptimize:
         oracle = grid_oracle(mission, n=25)
         assert solver.cost <= oracle.cost * 1.01
 
+    @pytest.mark.parametrize("eta", [2.0, 3.0])
+    def test_matches_grid_oracle_at_other_path_loss_exponents(self, section_v_bounds, eta):
+        # eta = 2 is the linear case of the closed-form range split.
+        mission = make_mission(0.6, 0.6, 0.8, 0.3, section_v_bounds, eta=eta)
+        assert optimize(mission).cost <= grid_oracle(mission, n=25).cost * 1.01
+
     def test_encounter_corner_certificate(self, section_v_bounds):
         # The layer-1 requirement exceeds the best corner degree for high
         # threat, so infeasibility must be certified, not just unsolved.
@@ -143,6 +170,55 @@ class TestOptimize:
         assert "layer1" in violated
         solution = optimize(mission)
         assert solution.status == "infeasible"
+
+    def test_no_design_when_ranges_cannot_be_ordered(self):
+        # The box corner meets every degree target, but r2_min > r1_max
+        # leaves no design with r1 >= r2.
+        bounds = ParamBounds(p_min=0.0, p_max=0.4, lambda_min=1.0, lambda_max=15.0,
+                             r1_min=0.1, r1_max=0.7, r2_min=0.75, r2_max=0.8)
+        mission = make_mission(0.5, 0.5, 0.5, 0.0, bounds)
+        assert not certify_infeasible(mission)
+        solution = optimize(mission)
+        assert solution.status == "infeasible"
+        assert solution.active_set == ("range_order",)
+
+    @pytest.mark.parametrize("t_intra, tc", NEAR_CAP)
+    def test_near_cap_missions_match_grid_oracle(self, section_v_bounds, t_intra, tc):
+        mission = make_mission(t_intra, t_intra, tc, 0.0, section_v_bounds)
+        solution = optimize(mission)
+        assert solution.status == "optimal"
+        assert solution.cost <= 1.01 * grid_oracle(mission).cost
+
+    def test_near_cap_sweep_never_worse_than_grid_oracle(self, section_v_bounds):
+        grid = [round(x, 2) for x in np.arange(0.85, 0.9301, 0.01)]
+        for tc in (0.5, 0.8):
+            base = make_mission(0.5, 0.5, tc, 0.0, section_v_bounds)
+            for row in sweep(base, "t_intra", grid):
+                oracle = grid_oracle(make_mission(row.value, row.value, tc, 0.0,
+                                                  section_v_bounds))
+                assert row.solution.status == oracle.status, (row.value, tc)
+                if oracle.status == "optimal":
+                    assert row.solution.cost <= 1.01 * oracle.cost, (row.value, tc)
+
+    def test_independent_of_blas_thread_count(self):
+        script = (
+            "from d2dnet import MissionSpec, ParamBounds, ThreatModel, optimize\n"
+            "bounds = ParamBounds(p_min=0.0, p_max=0.4, lambda_min=1.0, "
+            "lambda_max=15.0, r1_min=0.1, r1_max=2.0, r2_min=0.01, r2_max=0.8)\n"
+            f"for t, tc in {NEAR_CAP!r}:\n"
+            "    print(repr(optimize(MissionSpec(t1=t, t2=t, tc=tc, "
+            "threat=ThreatModel(delta=0.0), bounds=bounds))))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=300, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("status='optimal'") == len(NEAR_CAP)
 
     def test_infeasibility_boundary_location(self, section_v_bounds):
         lo, hi = 0.8, 0.9
@@ -160,6 +236,35 @@ class TestOptimize:
         b = optimize(mission)
         assert a.cost == b.cost
         assert a.params == b.params
+
+
+class TestRangeSolve:
+    @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("t1, tc", [(0.3, 0.9), (0.0, 0.95)])
+    def test_closed_form_matches_brute_force(self, section_v_bounds, eta, t1, tc):
+        # The combined requirement binds at most of these (p, lam); for
+        # t1 = 0 the range order r1 >= r2 then caps r2 at the larger p.
+        mission = make_mission(t1, 0.3, tc, 0.0, section_v_bounds, eta=eta)
+        req1, req2, reqc = mission.required_degrees()
+        b = section_v_bounds
+        q = eta / 2
+        aa = np.linspace(b.r1_min ** 2, b.r1_max ** 2, 801)[:, None]
+        bb = np.linspace(b.r2_min ** 2, b.r2_max ** 2, 801)[None, :]
+        for p in (0.05, 0.1, 0.25, 0.4):
+            for lam in (1.0, 2.0, 6.0, 15.0):
+                area = lam * math.pi
+                ok = ((p * p * area * aa >= req1) & (area * bb >= req2)
+                      & (area * (p * p * aa + bb) >= reqc) & (aa >= bb))
+                brute = np.where(ok, p * aa ** q + bb ** q, np.inf).min()
+                a, r2sq = _ranges(mission, p, lam)
+                if np.isnan(a):
+                    assert brute == np.inf, (p, lam)
+                    continue
+                assert p * a ** q + r2sq ** q <= brute * (1 + 1e-12), (p, lam)
+                assert a >= r2sq * (1 - 1e-12)
+                assert area * (p * p * a + r2sq) >= reqc * (1 - 1e-12)
+                assert p * p * area * a >= req1 * (1 - 1e-12)
+                assert area * r2sq >= req2 * (1 - 1e-12)
 
 
 class TestSweep:

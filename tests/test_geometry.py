@@ -68,8 +68,8 @@ class TestBuildRgg:
 
     def test_single_radio_devices_have_no_layer1_edges(self):
         graph = sample_graph(PARAMS, REGION, seed=11)
-        for i in np.flatnonzero(graph.types == TYPE_II):
-            assert len(graph.adj1[i]) == 0
+        assert (graph.types == TYPE_II).any()
+        assert np.all(graph.degree1()[graph.types == TYPE_II] == 0)
 
     def test_layer2_mean_degree(self):
         means = []

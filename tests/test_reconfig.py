@@ -24,6 +24,11 @@ class TestScenarioEvent:
         with pytest.raises(ValueError):
             ScenarioEvent(time=-1, kind="device_loss")
 
+    @pytest.mark.parametrize("time", [1.5, float("nan"), float("inf")])
+    def test_rejects_non_integer_time(self, time):
+        with pytest.raises(ValueError):
+            ScenarioEvent(time=time, kind="device_loss")
+
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             ScenarioEvent(time=0, kind="earthquake")
