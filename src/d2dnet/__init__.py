@@ -23,6 +23,7 @@ from .designer import DesignSolution, MissionSpec, cost, feasible, optimize, swe
 from .geometry import MultiplexGraph, Region, build_rgg, empirical_degrees, sample_graph, sample_ppp
 from .meanfield import (
     DualEquilibrium,
+    DualTrajectory,
     SingleEquilibrium,
     Trajectory,
     integrate_dual,
@@ -38,6 +39,7 @@ __all__ = [
     "DegreeModel",
     "DesignSolution",
     "DualEquilibrium",
+    "DualTrajectory",
     "MissionSpec",
     "MultiplexGraph",
     "NetworkParams",

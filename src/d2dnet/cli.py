@@ -464,7 +464,7 @@ def reconfig(config_path, seed, out):
         try:
             events = [
                 ScenarioEvent(
-                    time=int(_require(e, "time")),
+                    time=_require(e, "time"),
                     kind=str(_require(e, "kind")),
                     loss_fraction_type1=float(e.get("loss_fraction_type1", 0.0)),
                     loss_fraction_type2=float(e.get("loss_fraction_type2", 0.0)),

@@ -98,7 +98,7 @@ class ParamBounds:
             (self.r2_min, self.r2_max),
         ]
         for lo, hi in pairs:
-            if lo < 0 or lo > hi:
+            if not (math.isfinite(lo) and math.isfinite(hi)) or lo < 0 or lo > hi:
                 raise ValueError(f"invalid bound pair ({lo}, {hi})")
         if self.p_max > 1.0:
             raise ValueError("p_max must not exceed 1")

@@ -285,11 +285,10 @@ def optimize(mission: MissionSpec) -> DesignSolution:
 
 def grid_oracle(mission: MissionSpec, n: int = 40, refine: int = 1) -> DesignSolution:
     """Exhaustive box grid search with local refinement; the trusted baseline."""
-    violated = certify_infeasible(mission)
-    if violated:
-        return optimize(mission)   # same infeasibility certificate
-    req1, req2, reqc = mission.required_degrees()
     b = mission.bounds
+    if certify_infeasible(mission) or b.r2_min > b.r1_max:
+        return optimize(mission)   # same certificate or "range_order" answer
+    req1, req2, reqc = mission.required_degrees()
     lo = np.array([b.p_min, b.lambda_min, b.r1_min, b.r2_min])
     hi = np.array([b.p_max, b.lambda_max, b.r1_max, b.r2_max])
 

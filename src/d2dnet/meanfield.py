@@ -10,6 +10,11 @@ which has the trivial root 0 and, for a >= E[K]/E[K^2], a unique
 positive root.  The positive root is found by bracketed root finding on
 the (monotone) stationarity equation; a damped fixed-point iteration is
 also provided as an independent cross-check.
+
+Two messages spread independently, each on its own layer, so both the
+two-message equilibrium and its transient are two single-layer solves:
+the both-informed fraction of a (k, l) class is exactly the product of
+the per-layer informed fractions.
 """
 from __future__ import annotations
 
@@ -41,8 +46,16 @@ class SingleEquilibrium:
     theta: float
     informed_by_k: np.ndarray
     aggregate: float
-    converged: bool
-    iterations: int
+
+
+_RESIDUAL_TOL = 1e-10
+
+
+def _check_pmf(pmf) -> np.ndarray:
+    pmf = np.asarray(pmf, dtype=float)
+    if not (np.isfinite(pmf) & (pmf >= 0.0)).all():
+        raise ValueError("pmf entries must be finite and nonnegative")
+    return pmf
 
 
 def _informed_fractions(alpha: float, theta: float, k_max: int) -> np.ndarray:
@@ -60,12 +73,7 @@ def theta_lower_bound(alpha: float, mean_degree: float) -> float:
     return 1.0 - 1.0 / (alpha * mean_degree)
 
 
-def solve_theta(
-    pmf: np.ndarray,
-    alpha: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> SingleEquilibrium:
+def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     """Solve the Theta fixed point for one degree pmf.
 
     Below the bifurcation threshold E[K]/E[K^2] the only equilibrium is
@@ -73,22 +81,16 @@ def solve_theta(
     zero-vs-positive branch is decided from the pmf moments, never from
     iteration behaviour.
     """
-    pmf = np.asarray(pmf, dtype=float)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if (pmf < 0.0).any() or not abs(pmf.sum() - 1.0) <= 1e-9:
-        raise ValueError("pmf must be nonnegative and sum to 1")
+    pmf = _check_pmf(pmf)
+    if not abs(pmf.sum() - 1.0) <= 1e-9:
+        raise ValueError("pmf must sum to 1")
     mean, m2 = pmf_moments(pmf)
     k_max = len(pmf) - 1
     if mean <= 0.0 or alpha == 0.0 or alpha * m2 < mean:
         # Subcritical: only the noninformative solution exists.
-        return SingleEquilibrium(
-            theta=0.0,
-            informed_by_k=np.zeros(k_max + 1),
-            aggregate=0.0,
-            converged=True,
-            iterations=0,
-        )
+        return SingleEquilibrium(theta=0.0, informed_by_k=np.zeros(k_max + 1), aggregate=0.0)
 
     k = np.arange(k_max + 1, dtype=float)
     kp = k * pmf
@@ -104,16 +106,14 @@ def solve_theta(
         theta = brentq(stationarity, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     informed = _informed_fractions(alpha, theta, k_max)
     residual = abs(theta - float(kp @ informed) / mean)
-    if residual > tol:
+    if residual > _RESIDUAL_TOL:
         raise ConvergenceError(
-            f"fixed-point residual {residual:.3e} above tol {tol:.0e}", residual
+            f"fixed-point residual {residual:.3e} above tol {_RESIDUAL_TOL:.0e}", residual
         )
     return SingleEquilibrium(
         theta=float(theta),
         informed_by_k=informed,
         aggregate=float(pmf @ informed),
-        converged=True,
-        iterations=1,
     )
 
 
@@ -135,12 +135,12 @@ def solve_theta_damped(
     mean, m2 = pmf_moments(pmf)
     k_max = len(pmf) - 1
     if mean <= 0.0 or alpha == 0.0 or alpha * m2 < mean:
-        return SingleEquilibrium(0.0, np.zeros(k_max + 1), 0.0, True, 0)
+        return SingleEquilibrium(0.0, np.zeros(k_max + 1), 0.0)
     k = np.arange(k_max + 1, dtype=float)
     kp = k * pmf
 
     theta = theta0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         akt = alpha * k * theta
         f = float(kp @ (akt / (1.0 + akt))) / mean
         residual = abs(theta - f)
@@ -151,8 +151,6 @@ def solve_theta_damped(
                 theta=float(theta),
                 informed_by_k=informed,
                 aggregate=float(pmf @ informed),
-                converged=True,
-                iterations=it,
             )
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (residual {residual:.3e})",
@@ -183,40 +181,27 @@ def solve_dual(
     pmf2: np.ndarray,
     alpha1: float,
     alpha2: float,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    joint: np.ndarray | None = None,
 ) -> DualEquilibrium:
     """Solve both layers' equilibria; they are decoupled.
 
-    The per-class fractions follow from the two Thetas.  aggregate_ii is
-    weighted by `joint` when given (e.g. an empirical joint degree
-    histogram), otherwise by the product of the marginals.
+    The per-class fractions follow from the two Thetas; aggregate_ii is
+    weighted by the product of the marginals.
     """
-    eq1 = solve_theta(pmf1, alpha1, tol, max_iter)
-    eq2 = solve_theta(pmf2, alpha2, tol, max_iter)
+    eq1 = solve_theta(pmf1, alpha1)
+    eq2 = solve_theta(pmf2, alpha2)
     f1 = eq1.informed_by_k
     f2 = eq2.informed_by_k
     ii = np.outer(f1, f2)
     iu = np.outer(f1, 1.0 - f2)
     ui = np.outer(1.0 - f1, f2)
-    if joint is None:
-        joint_w = np.outer(np.asarray(pmf1, float), np.asarray(pmf2, float))
-    else:
-        joint_w = np.asarray(joint, dtype=float)
-        joint_w = joint_w / joint_w.sum()
-        if joint_w.shape[0] > ii.shape[0] or joint_w.shape[1] > ii.shape[1]:
-            raise ValueError("joint pmf extends beyond the marginal truncation")
-        pad = np.zeros_like(ii)
-        pad[: joint_w.shape[0], : joint_w.shape[1]] = joint_w
-        joint_w = pad
+    joint = np.outer(np.asarray(pmf1, float), np.asarray(pmf2, float))
     return DualEquilibrium(
         theta1=eq1.theta,
         theta2=eq2.theta,
         iu=iu,
         ui=ui,
         ii=ii,
-        aggregate_ii=float(np.sum(joint_w * ii)),
+        aggregate_ii=float(np.sum(joint * ii)),
         aggregate_1=eq1.aggregate,
         aggregate_2=eq2.aggregate,
     )
@@ -224,11 +209,24 @@ def solve_dual(
 
 @dataclass
 class Trajectory:
-    """Time-stepped per-degree-class fractions."""
+    """Time-stepped informed fractions of one layer's degree classes."""
 
     times: np.ndarray
-    states: np.ndarray       # single: (T, K+1); dual: (T, 3, K+1, L+1)
-    aggregate: np.ndarray    # population-weighted informed fraction(s) per time
+    states: np.ndarray       # (T, K+1)
+    aggregate: np.ndarray    # population-weighted informed fraction per time
+
+
+@dataclass
+class DualTrajectory:
+    """Two-message transient: one single-layer trajectory per message.
+
+    The both-informed fraction of class (k, l) at step t is exactly
+    layer1.states[t, k] * layer2.states[t, l].
+    """
+
+    layer1: Trajectory
+    layer2: Trajectory
+    aggregate: np.ndarray    # joint-weighted both-informed fraction per time
 
 
 _STATE_SLACK = 1e-6
@@ -252,12 +250,12 @@ def integrate_single(
 
     dI_k/dt = -I_k + alpha * k * (1 - I_k) * Theta(t), with Theta the
     edge-weighted informed fraction.  The equilibrium of the scheme
-    coincides with the exact fixed point.
+    coincides with the exact fixed point.  The pmf need not sum to 1.
     """
     if not 0.0 <= initial_fraction <= 1.0:
         raise ValueError("initial_fraction must be in [0, 1]")
     _check_time_grid(horizon, step)
-    pmf = np.asarray(pmf, dtype=float)
+    pmf = _check_pmf(pmf)
     mean, _ = pmf_moments(pmf)
     k = np.arange(len(pmf), dtype=float)
     kp = k * pmf
@@ -284,54 +282,19 @@ def integrate_dual(
     initial_fraction: float,
     horizon: float,
     step: float = 0.01,
-) -> Trajectory:
+) -> DualTrajectory:
     """Explicit Euler integration of the two-message dynamics.
 
-    States per (k, l) class are (IU, UI, II) with UU the complement.
-    joint_pmf is the (k, l) class-population distribution; the two
-    Thetas weight the classes by their joint pmf, so supplying an
-    empirical joint (instead of a product of marginals) changes the
-    transient but not the equilibrium.
+    joint_pmf is the (k, l) class-population distribution.  Each message
+    spreads on its own layer, so its informed fraction per class depends
+    on that layer's degree only and follows the single-message dynamics
+    on the joint's marginal; with independent seeding the both-informed
+    fraction is their exact product.  The aggregate weights that product
+    by the joint, so an empirical joint (instead of a product of
+    marginals) changes the aggregate but not the per-layer transients.
     """
-    if not 0.0 <= initial_fraction <= 1.0:
-        raise ValueError("initial_fraction must be in [0, 1]")
-    _check_time_grid(horizon, step)
-    joint = np.asarray(joint_pmf, dtype=float)
-    kk, ll = joint.shape
-    k = np.arange(kk, dtype=float)[:, None]
-    l = np.arange(ll, dtype=float)[None, :]
-    mean1 = float(np.sum(joint * k))
-    mean2 = float(np.sum(joint * l))
-
-    n_steps = int(round(horizon / step))
-    times = np.arange(n_steps + 1) * step
-    states = np.empty((n_steps + 1, 3, kk, ll))
-    # Independent seeding per message: IU = q(1-q), UI = (1-q)q, II = q^2.
-    q = float(initial_fraction)
-    iu = np.full((kk, ll), q * (1.0 - q))
-    ui = np.full((kk, ll), (1.0 - q) * q)
-    ii = np.full((kk, ll), q * q)
-    states[0] = (iu, ui, ii)
-    for t in range(1, n_steps + 1):
-        theta1 = float(np.sum(joint * k * (iu + ii))) / mean1 if mean1 > 0 else 0.0
-        theta2 = float(np.sum(joint * l * (ui + ii))) / mean2 if mean2 > 0 else 0.0
-        a1 = alpha1 * k * theta1
-        a2 = alpha2 * l * theta2
-        uu = 1.0 - iu - ui - ii
-        d_iu = a1 * uu - (a2 + 1.0) * iu + ii
-        d_ui = a2 * uu - (a1 + 1.0) * ui + ii
-        d_ii = a1 * ui + a2 * iu - 2.0 * ii
-        iu = iu + step * d_iu
-        ui = ui + step * d_ui
-        ii = ii + step * d_ii
-        uu = 1.0 - iu - ui - ii
-        stacked = np.stack((iu, ui, ii))
-        if min(stacked.min(), uu.min()) < -_STATE_SLACK or max(
-            stacked.max(), uu.max()
-        ) > 1.0 + _STATE_SLACK:
-            raise IntegrationError(
-                f"state left [0, 1] at t={t * step:.3f}; reduce the step size"
-            )
-        states[t] = stacked
-    agg_ii = np.einsum("tkl,kl->t", states[:, 2], joint)
-    return Trajectory(times=times, states=states, aggregate=agg_ii)
+    joint = _check_pmf(joint_pmf)
+    layer1 = integrate_single(joint.sum(1), alpha1, initial_fraction, horizon, step)
+    layer2 = integrate_single(joint.sum(0), alpha2, initial_fraction, horizon, step)
+    aggregate = np.einsum("tk,kl,tl->t", layer1.states, joint, layer2.states, optimize=True)
+    return DualTrajectory(layer1, layer2, aggregate)

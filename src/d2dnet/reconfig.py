@@ -10,6 +10,7 @@ either direction when a new optimum says so.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ class ScenarioEvent:
     new_delta: float | None = None
 
     def __post_init__(self):
-        if not float(self.time).is_integer():
+        if not isinstance(self.time, numbers.Real) or not float(self.time).is_integer():
             raise ValueError(f"event time must be a finite integer, got {self.time}")
         if self.time < 0:
             raise ValueError("event time must be nonnegative")

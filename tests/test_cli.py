@@ -203,6 +203,16 @@ class TestDesignCommand:
         assert result.exit_code == 2
         assert "eta" in result.output
 
+    def test_non_finite_bounds_are_config_error(self, runner, tmp_path):
+        config = write_config(tmp_path, {
+            "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8,
+                        "bounds": {"p_min": float("nan"), "lambda_max": float("inf")}},
+        })
+        result = runner.invoke(main, ["design", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "bounds" in result.output
+
     def test_unknown_sweep_variable(self, runner, tmp_path):
         config = write_config(tmp_path, {
             "mission": {"t1": 0.5, "t2": 0.5, "tc": 0.5},
@@ -232,3 +242,14 @@ class TestReconfigCommand:
         assert recomputed[0]["time"] == "50"
         costs = [float(r["cumulative_cost"]) for r in rows]
         assert costs == sorted(costs)
+
+    @pytest.mark.parametrize("time", [1.5, float("inf"), "x"])
+    def test_non_integer_event_time_is_config_error(self, runner, tmp_path, time):
+        config = write_config(tmp_path, {
+            "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8},
+            "scenario": [{"time": time, "kind": "device_loss"}],
+        })
+        result = runner.invoke(main, ["reconfig", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "event time" in result.output

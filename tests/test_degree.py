@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from d2dnet import (
     NetworkParams,
+    ParamBounds,
     ThreatModel,
     combined_pmf,
     degree_moments,
@@ -206,6 +207,14 @@ class TestParamValidation:
     def test_rejects_non_finite_values(self, fields):
         with pytest.raises(ValueError):
             NetworkParams(**{"p": 0.5, "lam": 10.0, "r1": 0.5, "r2": 0.3, **fields})
+
+    @pytest.mark.parametrize("field, value", [
+        ("p_min", math.nan), ("p_max", math.nan), ("lambda_min", math.nan),
+        ("lambda_max", math.inf), ("r1_min", math.nan), ("r1_max", math.inf),
+        ("r2_min", math.nan), ("r2_max", math.inf)])
+    def test_rejects_non_finite_bounds(self, field, value):
+        with pytest.raises(ValueError):
+            ParamBounds(**{field: value})
 
     def test_rejects_invalid_threat(self):
         with pytest.raises(ValueError):

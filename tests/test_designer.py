@@ -178,9 +178,9 @@ class TestOptimize:
                              r1_min=0.1, r1_max=0.7, r2_min=0.75, r2_max=0.8)
         mission = make_mission(0.5, 0.5, 0.5, 0.0, bounds)
         assert not certify_infeasible(mission)
-        solution = optimize(mission)
-        assert solution.status == "infeasible"
-        assert solution.active_set == ("range_order",)
+        for solution in (optimize(mission), grid_oracle(mission)):
+            assert solution.status == "infeasible"
+            assert solution.active_set == ("range_order",)
 
     @pytest.mark.parametrize("t_intra, tc", NEAR_CAP)
     def test_near_cap_missions_match_grid_oracle(self, section_v_bounds, t_intra, tc):

@@ -30,6 +30,28 @@ def point_mass(k):
     return pmf
 
 
+def joint_euler(joint, alpha1, alpha2, q, horizon, step):
+    """Reference: Euler steps of the joint (IU, UI, II) state per (k, l) class.
+
+    Yields the three (K+1, L+1) arrays at every time point, t = 0 included.
+    """
+    k = np.arange(joint.shape[0])[:, None]
+    ell = np.arange(joint.shape[1])[None, :]
+    mean1, mean2 = (joint * k).sum(), (joint * ell).sum()
+    iu = np.full(joint.shape, q * (1 - q))
+    ui = iu.copy()
+    ii = np.full(joint.shape, q * q)
+    yield iu, ui, ii
+    for _ in range(int(round(horizon / step))):
+        a1 = alpha1 * k * (joint * k * (iu + ii)).sum() / mean1
+        a2 = alpha2 * ell * (joint * ell * (ui + ii)).sum() / mean2
+        uu = 1 - iu - ui - ii
+        iu, ui, ii = (iu + step * (a1 * uu - (a2 + 1) * iu + ii),
+                      ui + step * (a2 * uu - (a1 + 1) * ui + ii),
+                      ii + step * (a1 * ui + a2 * iu - 2 * ii))
+        yield iu, ui, ii
+
+
 class TestSolveTheta:
     def test_subcritical_rate_gives_zero(self):
         pmf = poisson_pmf(4.0)
@@ -150,6 +172,11 @@ class TestIntegrateSingle:
         with pytest.raises(ValueError):
             integrate_single(poisson_pmf(8.0), 0.5, 0.1, **{"horizon": 10.0, **grid})
 
+    @pytest.mark.parametrize("pmf", [[0.5, math.nan, 0.5], [0.5, -0.1, 0.6], [0.5, math.inf, 0.5]])
+    def test_rejects_invalid_pmf(self, pmf):
+        with pytest.raises(ValueError):
+            integrate_single(np.array(pmf), 0.5, 0.1, horizon=10.0)
+
 
 class TestIntegrateDual:
     def test_zero_rates_keep_everyone_uninformed(self):
@@ -163,8 +190,7 @@ class TestIntegrateDual:
         joint = np.outer(pmf1, pmf2)
         traj = integrate_dual(joint, 0.4, 0.4, initial_fraction=0.05, horizon=200.0)
         eq = solve_dual(pmf1, pmf2, 0.4, 0.4)
-        # Last state layout: (3, K+1, L+1) = (IU, UI, II) per class.
-        terminal_ii = traj.states[-1, 2]
+        terminal_ii = np.outer(traj.layer1.states[-1], traj.layer2.states[-1])
         assert np.allclose(terminal_ii, eq.ii, atol=1e-3)
 
     def test_rejects_zero_step(self):
@@ -177,6 +203,35 @@ class TestIntegrateDual:
         pmf2 = poisson_pmf(5.0, 25)
         traj = integrate_dual(np.outer(pmf1, pmf2), 0.5, 0.3,
                               initial_fraction=0.1, horizon=20.0)
-        occupied = traj.states.sum(axis=1)   # IU + UI + II per class
+        # IU + UI + II = 1 - UU per (k, l) class.
+        occupied = 1 - (1 - traj.layer1.states)[:, :, None] * (1 - traj.layer2.states)[:, None, :]
         assert np.all(occupied <= 1.0 + 1e-8)
         assert np.all(occupied >= -1e-8)
+
+    def test_layers_match_joint_euler(self):
+        joint = np.outer(poisson_pmf(5.0, 25), poisson_pmf(5.0, 25))
+        traj = integrate_dual(joint, 0.5, 0.3, initial_fraction=0.1, horizon=20.0)
+        states = joint_euler(joint, 0.5, 0.3, 0.1, horizon=20.0, step=0.01)
+        for t, (iu, ui, ii) in enumerate(states):
+            assert np.abs(iu + ii - traj.layer1.states[t][:, None]).max() <= 1e-12
+            assert np.abs(ui + ii - traj.layer2.states[t][None, :]).max() <= 1e-12
+        assert t == len(traj.layer1.times) - 1
+
+    def test_joint_euler_product_drift_is_first_order_in_step(self):
+        # The exact II is x1 * x2; the joint Euler scheme drifts from it
+        # by O(step), which integrate_dual avoids by forming the product.
+        joint = np.outer(poisson_pmf(5.0, 25), poisson_pmf(5.0, 25))
+        drift = []
+        for step in (0.02, 0.01, 0.005):
+            drift.append(max(
+                np.abs(ii - (iu + ii) * (ui + ii)).max()
+                for iu, ui, ii in joint_euler(joint, 0.5, 0.3, 0.1, horizon=20.0, step=step)))
+        ratios = np.array(drift[:-1]) / np.array(drift[1:])
+        assert np.all((ratios > 1.8) & (ratios < 2.2)), (drift, ratios)
+
+    @pytest.mark.parametrize("entry", [math.nan, -0.1, math.inf])
+    def test_rejects_invalid_joint(self, entry):
+        joint = np.outer(poisson_pmf(4.0, 20), poisson_pmf(4.0, 20))
+        joint[3, 4] = entry
+        with pytest.raises(ValueError):
+            integrate_dual(joint, 0.5, 0.5, initial_fraction=0.1, horizon=5.0)

@@ -24,7 +24,7 @@ class TestScenarioEvent:
         with pytest.raises(ValueError):
             ScenarioEvent(time=-1, kind="device_loss")
 
-    @pytest.mark.parametrize("time", [1.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("time", [1.5, float("nan"), float("inf"), "3"])
     def test_rejects_non_integer_time(self, time):
         with pytest.raises(ValueError):
             ScenarioEvent(time=time, kind="device_loss")
