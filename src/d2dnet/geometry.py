@@ -2,12 +2,16 @@
 
 Devices are dropped by a Poisson process on a finite rectangular window
 (torus-wrapped by default so degree statistics are free of boundary
-deficit) and connected per layer by range thresholds.
+deficit) and connected per layer by range thresholds.  Each layer is
+kept as the (i < j) pair array of a k-d tree query; degrees come from
+those pairs, and the sorted CSR form is built only when a consumer such
+as the Monte Carlo oracle first asks for it.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -46,28 +50,61 @@ class Region:
 class MultiplexGraph:
     """A sampled point set with per-device type and two adjacency layers.
 
-    Each layer is held in compressed sparse row (CSR) form as two int64
-    arrays: the neighbours of node i are
-    ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending, and
-    ``indptr`` has n + 1 entries.  Layer 1 connects type-I pairs within
-    r1, layer 2 connects all pairs within r2.  Both layers are
-    symmetric and irreflexive.
+    Each layer is stored as an (m, 2) int64 array of index pairs (i, j),
+    i < j, one row per undirected edge, in no particular order (as the
+    k-d tree pair query returns them).  Layer 1 connects type-I pairs
+    within r1, layer 2 connects all pairs within r2; both are symmetric
+    and irreflexive.  Degrees are counted from the pairs.  The
+    compressed sparse row (CSR) form that the Monte Carlo oracle needs,
+    in which the neighbours of node i are
+    ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending, is built on
+    first access to ``indptr*``/``indices*`` and cached.
     """
 
     positions: np.ndarray          # (n, 2) km
     types: np.ndarray              # (n,) values TYPE_I / TYPE_II
-    indptr1: np.ndarray            # (n + 1,)
-    indices1: np.ndarray           # (2 * edges in layer 1,)
-    indptr2: np.ndarray
-    indices2: np.ndarray
+    pairs1: np.ndarray             # (edges in layer 1, 2), i < j
+    pairs2: np.ndarray             # (edges in layer 2, 2), i < j
     region: Region
     seed: int
     r1: float = 0.0
     r2: float = 0.0
 
+    def __post_init__(self):
+        for pairs in (self.pairs1, self.pairs2):
+            if pairs.ndim != 2 or pairs.shape[1] != 2:
+                raise ValueError(f"pairs must have shape (m, 2), got {pairs.shape}")
+            if len(pairs) and not (pairs.min() >= 0 and pairs.max() < self.n
+                                   and (pairs[:, 0] < pairs[:, 1]).all()):
+                raise ValueError("pairs must be node indices (i, j) with i < j < n")
+
     @property
     def n(self) -> int:
         return len(self.types)
+
+    @cached_property
+    def _csr1(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self.n, self.pairs1)
+
+    @cached_property
+    def _csr2(self) -> tuple[np.ndarray, np.ndarray]:
+        return _csr(self.n, self.pairs2)
+
+    @property
+    def indptr1(self) -> np.ndarray:        # (n + 1,)
+        return self._csr1[0]
+
+    @property
+    def indices1(self) -> np.ndarray:       # (2 * edges in layer 1,)
+        return self._csr1[1]
+
+    @property
+    def indptr2(self) -> np.ndarray:
+        return self._csr2[0]
+
+    @property
+    def indices2(self) -> np.ndarray:
+        return self._csr2[1]
 
     @property
     def adj1(self) -> list[np.ndarray]:
@@ -79,19 +116,11 @@ class MultiplexGraph:
         """Per-node neighbour arrays of layer 2 (views into ``indices2``)."""
         return _rows(self.indptr2, self.indices2)
 
-    def edges(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Directed (src, dst) arrays of layer 1 or 2: every edge both ways, by (src, dst)."""
-        if layer not in (1, 2):
-            raise ValueError(f"layer must be 1 or 2, got {layer}")
-        indptr = self.indptr1 if layer == 1 else self.indptr2
-        indices = self.indices1 if layer == 1 else self.indices2
-        return np.repeat(np.arange(self.n), np.diff(indptr)), indices
-
     def degree1(self) -> np.ndarray:
-        return np.diff(self.indptr1)
+        return np.bincount(self.pairs1.ravel(), minlength=self.n)
 
     def degree2(self) -> np.ndarray:
-        return np.diff(self.indptr2)
+        return np.bincount(self.pairs2.ravel(), minlength=self.n)
 
     def degree_combined(self) -> np.ndarray:
         """Per-node combined degree |N1| + |N2| (common neighbours count twice)."""
@@ -128,8 +157,7 @@ def _pairs_within(
         tree = cKDTree(pos, boxsize=(region.width, region.height))
     else:
         tree = cKDTree(positions)
-    pairs = tree.query_pairs(radius, output_type="ndarray")
-    return pairs
+    return tree.query_pairs(radius, output_type="ndarray")
 
 
 def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
@@ -153,22 +181,17 @@ def build_rgg(
     seed: int = 0,
 ) -> MultiplexGraph:
     """Connect the sampled points into the two layers."""
-    n = len(types)
-    # Layer 1: type-I devices only, range r1.
+    # Layer 1: type-I devices only, range r1.  idx1 is ascending, so
+    # mapping the sub-sample's pairs back keeps i < j.
     idx1 = np.flatnonzero(types == TYPE_I)
-    sub_pairs = _pairs_within(positions[idx1], params.r1, region)
-    pairs1 = idx1[sub_pairs]
+    pairs1 = idx1[_pairs_within(positions[idx1], params.r1, region)]
     # Layer 2: all devices, range r2.
     pairs2 = _pairs_within(positions, params.r2, region)
-    indptr1, indices1 = _csr(n, pairs1)
-    indptr2, indices2 = _csr(n, pairs2)
     return MultiplexGraph(
         positions=positions,
         types=types,
-        indptr1=indptr1,
-        indices1=indices1,
-        indptr2=indptr2,
-        indices2=indices2,
+        pairs1=pairs1,
+        pairs2=pairs2,
         region=region,
         seed=seed,
         r1=params.r1,
@@ -218,11 +241,8 @@ def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
 def graph_to_dict(graph: MultiplexGraph) -> dict:
     """JSON-ready dump with stable key order."""
 
-    def pairs(layer: int) -> list[list[int]]:
-        # CSR order is lexicographic, so the i < j half is already sorted.
-        src, dst = graph.edges(layer)
-        keep = src < dst
-        return np.stack([src[keep], dst[keep]], axis=1).tolist()
+    def sorted_pairs(pairs: np.ndarray) -> list[list[int]]:
+        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()
 
     return {
         "schema": 1,
@@ -236,8 +256,8 @@ def graph_to_dict(graph: MultiplexGraph) -> dict:
         "r2": graph.r2,
         "positions": [[float(x), float(y)] for x, y in graph.positions],
         "types": [int(t) for t in graph.types],
-        "edges_layer1": pairs(1),
-        "edges_layer2": pairs(2),
+        "edges_layer1": sorted_pairs(graph.pairs1),
+        "edges_layer2": sorted_pairs(graph.pairs2),
     }
 
 

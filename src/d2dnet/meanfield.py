@@ -58,6 +58,11 @@ def _check_pmf(pmf) -> np.ndarray:
     return pmf
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def _informed_fractions(alpha: float, theta: float, k_max: int) -> np.ndarray:
     k = np.arange(k_max + 1, dtype=float)
     akt = alpha * k * theta
@@ -66,7 +71,7 @@ def _informed_fractions(alpha: float, theta: float, k_max: int) -> np.ndarray:
 
 def theta_lower_bound(alpha: float, mean_degree: float) -> float:
     """Closed-form Jensen lower bound max(0, 1 - 1/(alpha*E[K]))."""
-    if alpha < 0 or mean_degree < 0:
+    if not (alpha >= 0 and mean_degree >= 0):
         raise ValueError("alpha and mean_degree must be nonnegative")
     if alpha * mean_degree <= 1.0:
         return 0.0
@@ -81,8 +86,7 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     zero-vs-positive branch is decided from the pmf moments, never from
     iteration behaviour.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    _check_alpha(alpha)
     pmf = _check_pmf(pmf)
     if not abs(pmf.sum() - 1.0) <= 1e-9:
         raise ValueError("pmf must sum to 1")
@@ -254,6 +258,7 @@ def integrate_single(
     """
     if not 0.0 <= initial_fraction <= 1.0:
         raise ValueError("initial_fraction must be in [0, 1]")
+    _check_alpha(alpha)
     _check_time_grid(horizon, step)
     pmf = _check_pmf(pmf)
     mean, _ = pmf_moments(pmf)

@@ -1,12 +1,16 @@
 """Spatial sampling, multiplex RGG construction and empirical degrees."""
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from d2dnet import NetworkParams, Region, build_rgg, empirical_degrees, sample_graph, sample_ppp
-from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, dump_graph, graph_to_dict
+from d2dnet import (NetworkParams, Region, ThreatModel, build_rgg, empirical_degrees,
+                    sample_graph, sample_ppp, spreading_rates)
+from d2dnet import geometry
+from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph, dump_graph, graph_to_dict
+from d2dnet.montecarlo import _connectivity_estimate
 
 
 PARAMS = NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5)
@@ -101,9 +105,10 @@ class TestBuildRgg:
         graph = build_rgg(positions, types, params, region, seed=seed)
         ref1, ref2 = reference_pairs(positions, types, params, region)
         assert ref1 and ref2
-        for adj, degree, ref in ((graph.adj1, graph.degree1(), ref1),
-                                 (graph.adj2, graph.degree2(), ref2)):
+        for adj, indptr, degree, ref in ((graph.adj1, graph.indptr1, graph.degree1(), ref1),
+                                         (graph.adj2, graph.indptr2, graph.degree2(), ref2)):
             assert len(adj) == graph.n
+            assert np.array_equal(degree, np.diff(indptr))
             assert np.array_equal(degree, [len(row) for row in adj])
             arcs = set()
             for i, row in enumerate(adj):
@@ -120,21 +125,63 @@ class TestBuildRgg:
     def test_tiny_graph_has_one_row_per_node(self, region):
         graph = sample_graph(PARAMS, region, seed=0)
         assert graph.n <= 5
+        assert len(graph.degree1()) == len(graph.degree2()) == graph.n
         assert len(graph.adj1) == len(graph.adj2) == graph.n
         assert len(graph.indptr1) == len(graph.indptr2) == graph.n + 1
         assert graph_to_dict(graph)["edges_layer2"] == reference_pairs(
             graph.positions, graph.types, PARAMS, region)[1]
 
-    def test_edges_rejects_unknown_layer(self):
-        graph = sample_graph(PARAMS, Region(1.0, 1.0), seed=0)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_degenerate_sample_degrees_have_length_n(self, n):
+        graph = build_rgg(np.full((n, 2), 2.0), np.full(n, TYPE_I, dtype=np.int8),
+                          PARAMS, REGION)
+        for degree in (graph.degree1(), graph.degree2(), graph.degree_combined()):
+            assert np.array_equal(degree, np.zeros(n))
+
+    @pytest.mark.parametrize("pairs", [
+        np.array([0, 1]), np.array([[1, 0]]), np.array([[0, 0]]),
+        np.array([[0, 3]]), np.array([[-1, 1]])])
+    def test_rejects_invalid_pairs(self, pairs):
+        empty = np.empty((0, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            graph.edges(3)
+            MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), empty, pairs, REGION, seed=0)
+        with pytest.raises(ValueError):
+            MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), pairs, empty, REGION, seed=0)
 
     def test_combined_degree_is_layer_sum(self):
         graph = sample_graph(PARAMS, REGION, seed=4)
         assert np.array_equal(
             graph.degree_combined(), graph.degree1() + graph.degree2()
         )
+
+
+class TestLazyCsr:
+    @pytest.fixture
+    def csr_calls(self, monkeypatch):
+        calls, csr = [], geometry._csr
+
+        def counting_csr(n, pairs):
+            calls.append(len(pairs))
+            return csr(n, pairs)
+
+        monkeypatch.setattr(geometry, "_csr", counting_csr)
+        return calls
+
+    def test_degree_readers_never_build_csr(self, csr_calls):
+        graph = sample_graph(PARAMS, REGION, seed=5)
+        empirical_degrees(graph)
+        _connectivity_estimate(graph, spreading_rates(ThreatModel(delta=0.0)))
+        graph_to_dict(graph)
+        assert csr_calls == []
+
+    def test_csr_built_once_per_layer_on_first_access(self, csr_calls):
+        graph = sample_graph(PARAMS, Region(3.0, 3.0), seed=5)
+        indptr1 = graph.indptr1
+        assert csr_calls == [len(graph.pairs1)]
+        graph.indices1, graph.adj1
+        assert graph.indptr1 is indptr1 and len(csr_calls) == 1
+        graph.adj2, graph.indices2, graph.indptr2
+        assert csr_calls == [len(graph.pairs1), len(graph.pairs2)]
 
 
 class TestEmpiricalDegrees:
@@ -174,6 +221,18 @@ class TestSerialization:
         loaded = json.loads(path.read_text())
         assert len(loaded["types"]) == graph.n
         assert loaded == graph_to_dict(graph)
+
+    @pytest.mark.parametrize("wrap, digest", [
+        (True, "2de1942f087625dd430780652cc1bc823fef5252b79acbb0f895aa4493f6e7be"),
+        (False, "0371d764c759953181093ead120e5b958bb29b2b9dcce6263be85d157d7c0718")])
+    def test_dump_bytes_are_pinned(self, tmp_path, wrap, digest):
+        # The dump lists each layer's (i < j) pairs in lexicographic order,
+        # whatever order the k-d tree query returned them in.
+        graph = sample_graph(NetworkParams(p=0.3, lam=5.0, r1=0.8, r2=0.4),
+                             Region(4.0, 4.0, wrap=wrap), seed=9)
+        path = tmp_path / "graph.json"
+        dump_graph(graph, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_region_rejects_negative_dimensions(self):
         with pytest.raises(ValueError):

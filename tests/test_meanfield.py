@@ -103,6 +103,11 @@ class TestThetaLowerBound:
         assert theta_lower_bound(0.2, 5.0) == 0.0
         assert theta_lower_bound(0.1, 4.0) == 0.0
 
+    @pytest.mark.parametrize("alpha, mean", [(math.nan, 5.0), (0.3, math.nan)])
+    def test_rejects_nan(self, alpha, mean):
+        with pytest.raises(ValueError):
+            theta_lower_bound(alpha, mean)
+
     @given(alpha=st.floats(0.05, 1.0), mean=st.floats(1.0, 30.0))
     @settings(max_examples=40, deadline=None)
     def test_bound_never_exceeds_exact_theta(self, alpha, mean):
@@ -177,6 +182,11 @@ class TestIntegrateSingle:
         with pytest.raises(ValueError):
             integrate_single(np.array(pmf), 0.5, 0.1, horizon=10.0)
 
+    @pytest.mark.parametrize("alpha", [math.nan, -0.5, 1.5])
+    def test_rejects_alpha_outside_unit_interval(self, alpha):
+        with pytest.raises(ValueError):
+            integrate_single(poisson_pmf(5.0), alpha, 0.1, horizon=10.0)
+
 
 class TestIntegrateDual:
     def test_zero_rates_keep_everyone_uninformed(self):
@@ -228,6 +238,12 @@ class TestIntegrateDual:
                 for iu, ui, ii in joint_euler(joint, 0.5, 0.3, 0.1, horizon=20.0, step=step)))
         ratios = np.array(drift[:-1]) / np.array(drift[1:])
         assert np.all((ratios > 1.8) & (ratios < 2.2)), (drift, ratios)
+
+    @pytest.mark.parametrize("alphas", [(math.nan, 0.5), (0.5, -0.5)])
+    def test_rejects_alpha_outside_unit_interval(self, alphas):
+        joint = np.outer(poisson_pmf(4.0, 20), poisson_pmf(4.0, 20))
+        with pytest.raises(ValueError):
+            integrate_dual(joint, *alphas, initial_fraction=0.1, horizon=5.0)
 
     @pytest.mark.parametrize("entry", [math.nan, -0.1, math.inf])
     def test_rejects_invalid_joint(self, entry):

@@ -1,4 +1,5 @@
 """Stochastic spreading oracle: quasi-stationary estimates and determinism."""
+import itertools
 import math
 
 import numpy as np
@@ -23,11 +24,9 @@ def complete_graph(n, region_side=5.0):
     rng = np.random.default_rng(0)
     positions = rng.uniform(0, region_side, size=(n, 2))
     types = np.full(n, TYPE_I, dtype=np.int8)
-    indptr2 = np.arange(n + 1, dtype=np.int64) * (n - 1)
-    indices2 = np.array([j for i in range(n) for j in range(n) if j != i], dtype=np.int64)
-    return MultiplexGraph(positions, types,
-                          np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-                          indptr2, indices2, Region(region_side, region_side), seed=0)
+    pairs2 = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
+    return MultiplexGraph(positions, types, np.empty((0, 2), dtype=np.int64), pairs2,
+                          Region(region_side, region_side), seed=0)
 
 
 class TestSimConfig:
@@ -45,8 +44,7 @@ class TestStepLaw:
         # cycle 0-1-2-3-0, so the combined pair 0-1 has multiplicity 2.
         graph = MultiplexGraph(
             np.zeros((4, 2)), np.array([TYPE_I, TYPE_I, TYPE_II, TYPE_II], dtype=np.int8),
-            np.array([0, 1, 2, 2, 2]), np.array([1, 0]),
-            np.array([0, 2, 4, 6, 8]), np.array([1, 3, 0, 2, 1, 3, 0, 2]),
+            np.array([[0, 1]]), np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
             Region(1.0, 1.0), seed=0)
         alpha, h, reps = 0.5, 0.3, 20_000
         channel = _channel(_layer(graph, 1) + _layer(graph, 2), alpha, np.arange(4),
