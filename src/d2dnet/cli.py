@@ -31,7 +31,7 @@ from .designer import MissionSpec, optimize, sweep
 from .geometry import Region, empirical_degrees, sample_graph
 from .meanfield import integrate_single, solve_dual, solve_theta, theta_lower_bound
 from .montecarlo import SimConfig, simulate_dual, simulate_single
-from .reconfig import ScenarioEvent, run_mission
+from .reconfig import ScenarioEvent, _check_loop_settings, run_mission
 
 
 class ConfigError(Exception):
@@ -474,12 +474,17 @@ def reconfig(config_path, seed, out):
             ]
         except ValueError as exc:
             raise ConfigError(f"invalid scenario event: {exc}")
+        try:
+            t_r, epsilon, horizon = _check_loop_settings(
+                cfg.get("t_r", 50), cfg.get("epsilon", 0.05), cfg.get("horizon", 200))
+        except ValueError as exc:
+            raise ConfigError(f"invalid mission loop: {exc}")
         trace = run_mission(
             mission,
             events,
-            t_r=int(cfg.get("t_r", 50)),
-            epsilon=float(cfg.get("epsilon", 0.05)),
-            horizon=int(cfg.get("horizon", 200)),
+            t_r=t_r,
+            epsilon=epsilon,
+            horizon=horizon,
             seed=resolved_seed,
             region=_region_from_config(cfg.get("region")),
         )

@@ -6,9 +6,10 @@ the deployment-plus-power cost is minimised over (p, lam, r1, r2)
 subject to those requirements, r1 >= r2 and box bounds.  For fixed
 (p, lam) the cost rises in both ranges, so the cheapest ranges have a
 closed form (the combined requirement, when it binds, leaves a 1-D
-convex split between the layers).  What remains is a 2-D search over
-the (p, lam) box: a dense grid, a few zooms and one bounded polish.  An
-exhaustive 4-d grid oracle is kept for validation.
+convex split between the layers).  For fixed p the resulting cost is
+convex in lam, and its minimiser is one of a short list of closed-form
+candidates, so only a 1-D search over p remains: a dense grid and a
+few zooms.  An exhaustive 4-d grid oracle is kept for validation.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # noqa: F401  bench/tracing.py wraps it until ROADMAP O1
 
 from .degree import NetworkParams, ParamBounds, ThreatModel, spreading_rates
 
@@ -167,9 +168,11 @@ def _solution_from_point(x, mission: MissionSpec) -> DesignSolution:
     )
 
 
-_GRID = 129        # points per axis of the first (p, lam) grid
-_ZOOM_GRID = 17    # points per axis of each zoomed grid
-_ZOOMS = 3
+_P_GRID = 129      # points of the first p grid
+_P_ZOOM = 65       # points of each zoomed p grid
+_P_CELL = 1e-9     # final grid cell, as a fraction of the p box,
+_P_LEVELS = 6      # which 128 * 32^5 cells reach; the cap bounds rounding
+_NEWTON = 40       # Newton step cap for an affine piece's stationary range
 
 
 def _ranges(mission: MissionSpec, p, lam):
@@ -208,44 +211,141 @@ def _ranges(mission: MissionSpec, p, lam):
 def _reduced_cost(mission: MissionSpec, p, lam):
     """Cost at the cheapest ranges for each (p, lam); inf where infeasible."""
     a, b = _ranges(mission, p, lam)
-    total = _cost_xyzw(p, lam, np.sqrt(a), np.sqrt(b), mission)
-    return np.where(np.isnan(total), math.inf, total)
+    q = mission.eta / 2
+    deploy = mission.w1 * p + mission.w2 * (1.0 - p)
+    total = lam * (deploy + mission.c * (p * a ** q + b ** q))
+    return np.fmin(total, math.inf)   # nan (infeasible) becomes inf
 
 
-def _search(mission: MissionSpec) -> np.ndarray | None:
-    """Minimise the reduced cost over the (p, lam) box: grid, zoom, polish."""
+def _lambda_candidates(mission: MissionSpec, p: np.ndarray) -> np.ndarray:
+    """Candidate lam values, one row per p, that contain the best lam.
+
+    With u = 1/(pi*lam), every branch of ``_ranges`` makes a = r1^2 and
+    b = r2^2 affine in u, and the reduced cost lam*(w + c*(p*a^q + b^q))
+    is the perspective of a convex function of u, so it is convex in lam.
+    Its minimum over the feasible interval therefore lies at an interval
+    end, at a branch switch, or at the stationary point of the piece that
+    holds it.  All three kinds are listed, clipped to the interval.
+    """
+    req1, req2, reqc = mission.required_degrees()
+    box = mission.bounds
+    a_lo, b_lo = box.r1_min ** 2, box.r2_min ** 2
+    a_hi, b_hi = box.r1_max ** 2, box.r2_max ** 2
+    q, c = mission.eta / 2, mission.c
+    p = p[:, None]
+    pp = p * p
+    w = mission.w1 * p + mission.w2 * (1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # The smallest feasible lam: the top ranges (with r2 <= r1) meet
+        # every degree requirement.  Feasibility only grows with lam.
+        b_top = min(b_hi, a_hi)
+        u_max = np.minimum(np.minimum(pp * (a_hi / req1), b_top / req2),
+                           (pp * a_hi + b_top) / reqc)
+        lam_lo = np.maximum(box.lambda_min, (1.0 + 1e-12) / (math.pi * u_max))
+
+        # Branch switches of _ranges, where two of its terms meet, as
+        # u = (n0 + n1*p^2) / (d0 + d1*p^2).
+        n0, n1, d0, d1 = np.array([
+            (0.0, a_lo, req1, 0.0),             # a_lo = max(r1_min^2, req1*u/p^2)
+            (b_lo, 0.0, req2, 0.0),             # b_lo = max(r2_min^2, req2*u)
+            (a_lo, 0.0, req2, 0.0),             # a = max(a_lo, b_lo), both branch pairs
+            (0.0, b_lo, req1, 0.0),
+            (b_lo, a_lo, reqc, 0.0),            # binds: p^2*a + b_lo = s, per (a, b_lo) pair
+            (0.0, a_lo, reqc - req2, 0.0),
+            (b_lo, 0.0, reqc - req1, 0.0),
+            (b_lo, b_lo, reqc, 0.0),
+            (0.0, b_lo, reqc - req2, 0.0),
+            (b_lo, 0.0, reqc, -req2),
+            (b_hi, a_lo, reqc, 0.0),            # b_line = min(b_hi, s - p^2*a_lo, s/(1+p^2))
+            (b_hi, 0.0, reqc - req1, 0.0),
+            (b_hi, b_hi, reqc, 0.0),
+            (a_lo, a_lo, reqc, 0.0),
+        ]).T
+        switches = (d0 + d1 * pp) / (math.pi * (n0 + n1 * pp))
+
+        # Pieces where a and b are each a box constant or k/lam, with
+        # k = g/(pi*(h0 + h1*p^2)): the cost is lam*W + lam^(1-q)*G, least
+        # at ((q-1)*G/W)^(1/q).
+        a0, ga, ha0, ha1, b0, gb, hb0, hb1 = np.array([
+            (a_lo, 0.0, 1.0, 0.0, 0.0, req2, 1.0, 0.0),           # a = r1_min^2, b = req2*u
+            (0.0, req1, 0.0, 1.0, b_lo, 0.0, 1.0, 0.0),           # a = req1*u/p^2, b = r2_min^2
+            (0.0, req1, 0.0, 1.0, 0.0, req2, 1.0, 0.0),           # a = req1*u/p^2, b = req2*u
+            (0.0, req2, 1.0, 0.0, 0.0, req2, 1.0, 0.0),           # a = b = req2*u
+            (0.0, reqc, 1.0, 1.0, 0.0, reqc, 1.0, 1.0),           # binding, a = b = s/(1+p^2)
+            (0.0, req1, 0.0, 1.0, 0.0, reqc - req1, 1.0, 0.0),    # binding, a = req1*u/p^2
+        ]).T
+        ka = ga / (math.pi * (ha0 + ha1 * pp))
+        kb = gb / (math.pi * (hb0 + hb1 * pp))
+        big_w = w + c * (p * a0 ** q + b0 ** q)
+        big_g = c * (p * ka ** q + kb ** q)
+        monomials = ((q - 1.0) * big_g / big_w) ** (1.0 / q)
+
+        # The two pieces where the combined requirement binds with one
+        # range at a box end: r1 = r1_min (b = s - p^2*a_lo) or r2 = r2_max
+        # (p^2*a = s - b_hi).  The other range's square y is then
+        # stationary where (q-1)*y^q + q*beta*y^(q-1) = K.
+        beta = np.hstack([pp * a_lo, b_hi / pp])
+        big_k = np.hstack([w / c + p * a_lo ** q, (w / c + b_hi ** q) / p])
+        y = _stationary_range(q, beta, big_k)
+        affine = reqc / (math.pi * np.hstack([np.ones_like(pp), pp]) * (y + beta))
+    lam = np.hstack([lam_lo, np.full_like(lam_lo, box.lambda_max), switches, monomials, affine])
+    return np.fmin(np.fmax(lam, lam_lo, out=lam), box.lambda_max, out=lam)
+
+
+def _stationary_range(q: float, beta: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Root y > 0 of (q-1)*y^q + q*beta*y^(q-1) = k, by Newton in log y.
+
+    The left side is convex and rising in log y, so Newton steps started
+    above the root (where one term alone reaches k) fall monotonically
+    onto it.  The cost is stationary at the root, so a relative error e
+    in y costs only ~e^2.  No root (q = 1, or nan input) gives nan; for
+    q = 2 (eta = 4) the root is the quadratic's.
+    """
+    if q == 1.0:
+        return np.full_like(beta, math.nan)
+    if q == 2.0:   # y^2 + 2*beta*y = k
+        return k / (np.sqrt(beta * beta + k) + beta)
+    y = np.fmin((k / (q - 1.0)) ** (1.0 / q), (k / (q * beta)) ** (1.0 / (q - 1.0)))
+    for _ in range(_NEWTON):
+        z = y ** (q - 1.0)
+        step = (z * ((q - 1.0) * y + q * beta) - k) / (q * (q - 1.0) * z * (y + beta))
+        y = y * np.exp(-step)
+        if not (np.abs(step) > 1e-8).any():
+            break
+    return y
+
+
+def _lambda_profile(mission: MissionSpec, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best lam and its reduced cost (inf where infeasible) for each p."""
+    lam = _lambda_candidates(mission, p)
+    costs = _reduced_cost(mission, p[:, None], lam)
+    j = np.argmin(costs, axis=1)
+    rows = np.arange(len(p))
+    return lam[rows, j], costs[rows, j]
+
+
+def _search(mission: MissionSpec) -> tuple[float, float] | None:
+    """Minimise the lam profile over p: a dense grid, then 1-cell zooms.
+
+    The zooms stop once the cells around the argmin are _P_CELL of the
+    p box.  The first grid also holds the points that far inside each
+    end, so a minimum at a box end (the common case) needs no zoom.
+    """
     b = mission.bounds
-    box_lo = np.array([b.p_min, b.lambda_min])
-    box_hi = np.array([b.p_max, b.lambda_max])
-    lo, hi, n = box_lo, box_hi, _GRID
-    best_x, best_cost = None, math.inf
-    for _ in range(_ZOOMS + 1):
-        ps = np.linspace(lo[0], hi[0], n)
-        lams = np.linspace(lo[1], hi[1], n)
-        costs = _reduced_cost(mission, ps[:, None], lams[None, :])
-        i, j = np.unravel_index(np.argmin(costs), costs.shape)
-        if costs[i, j] < best_cost:
-            best_x, best_cost = np.array([ps[i], lams[j]]), float(costs[i, j])
-        if best_x is None:
-            return None
-        # Zoom to the grid cells around the argmin.
-        lo = np.array([ps[max(i - 1, 0)], lams[max(j - 1, 0)]])
-        hi = np.array([ps[min(i + 1, n - 1)], lams[min(j + 1, n - 1)]])
-        n = _ZOOM_GRID
-    # Simplex edges of one cell of a further zoom, pointing into the box.
-    step = (hi - lo) / (n - 1)
-    step = np.where(best_x + step <= box_hi, step, -step)
-    res = minimize(
-        lambda x: float(_reduced_cost(mission, x[0], x[1])),
-        best_x,
-        method="Nelder-Mead",
-        bounds=list(zip(box_lo, box_hi)),
-        options={
-            "initial_simplex": [best_x, best_x + [step[0], 0.0], best_x + [0.0, step[1]]],
-            "xatol": 1e-9, "fatol": 1e-12 * best_cost,
-        },
-    )
-    return res.x if res.fun < best_cost else best_x
+    cell = _P_CELL * (b.p_max - b.p_min)
+    ps = np.linspace(b.p_min, b.p_max, _P_GRID)
+    ps = np.concatenate([ps[:1], [b.p_min + cell], ps[1:-1], [b.p_max - cell], ps[-1:]])
+    best, best_cost = None, math.inf
+    for _ in range(_P_LEVELS):
+        lams, costs = _lambda_profile(mission, ps)
+        i = int(np.argmin(costs))
+        if costs[i] < best_cost:
+            best, best_cost = (float(ps[i]), float(lams[i])), float(costs[i])
+        lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, len(ps) - 1)]
+        if best is None or hi - lo <= 2 * cell:
+            break
+        ps = np.linspace(lo, hi, _P_ZOOM)
+    return best
 
 
 def _infeasible(mission: MissionSpec, violated) -> DesignSolution:
@@ -265,10 +365,13 @@ def optimize(mission: MissionSpec) -> DesignSolution:
 
     Infeasibility is certified exactly at the box corner (the degree
     expressions are monotone in every variable).  Otherwise the ranges
-    are solved in closed form for each (p, lam) (see ``_ranges``), and
-    the reduced cost is minimised over the (p, lam) box by a dense grid,
-    a few zooms around its argmin and one bounded Nelder-Mead polish.
-    The search is deterministic and uses no random starts.
+    are solved in closed form for each (p, lam) (see ``_ranges``).  The
+    reduced cost is convex in lam, so for each p the best lam is the
+    cheapest of a few closed-form candidates: branch switches of the
+    range solve, stationary points of its pieces and the ends of the
+    feasible lam interval (see ``_lambda_candidates``).  That profile is
+    minimised over p by a dense grid and one-cell zooms around its
+    argmin.  The search is deterministic and uses no random starts.
     """
     violated = certify_infeasible(mission)
     if violated:
@@ -278,7 +381,7 @@ def optimize(mission: MissionSpec) -> DesignSolution:
         # The corner certificate passed, so only r2_min > r1_max is left:
         # no design has r1 >= r2.
         return _infeasible(mission, ("range_order",))
-    p, lam = float(x[0]), float(x[1])
+    p, lam = x
     a, b = _ranges(mission, p, lam)
     return _solution_from_point((p, lam, math.sqrt(a), math.sqrt(b)), mission)
 

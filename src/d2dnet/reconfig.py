@@ -10,6 +10,7 @@ either direction when a new optimum says so.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 
@@ -81,6 +82,22 @@ class MissionInfeasibleError(RuntimeError):
     """Initial mission cannot be satisfied within the parameter bounds."""
 
 
+def _check_loop_settings(t_r, epsilon, horizon) -> tuple[int, float, int]:
+    """Validated (t_r, epsilon, horizon) of the mission loop.
+
+    t_r and horizon must be finite integers (t_r >= 1) and epsilon finite
+    and positive; anything else raises ValueError.
+    """
+    for name, value in (("t_r", t_r), ("horizon", horizon)):
+        if not isinstance(value, numbers.Real) or not float(value).is_integer():
+            raise ValueError(f"{name} must be a finite integer, got {value!r}")
+    if t_r < 1:
+        raise ValueError("t_r must be >= 1")
+    if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    return int(t_r), float(epsilon), int(horizon)
+
+
 def run_mission(
     mission: MissionSpec,
     scenario: list[ScenarioEvent],
@@ -91,10 +108,7 @@ def run_mission(
     region: Region = Region(10.0, 10.0),
 ) -> ReconfigTrace:
     """Run the closed deploy/estimate/re-optimize loop to the horizon."""
-    if t_r < 1:
-        raise ValueError("t_r must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    t_r, epsilon, horizon = _check_loop_settings(t_r, epsilon, horizon)
     events = sorted(scenario, key=lambda e: e.time)
 
     initial = optimize(mission)

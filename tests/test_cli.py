@@ -1,6 +1,7 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 import csv
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -253,3 +254,15 @@ class TestReconfigCommand:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert "event time" in result.output
+
+    @pytest.mark.parametrize("key, value", [
+        ("t_r", 1.5), ("horizon", math.inf), ("epsilon", math.nan),
+    ])
+    def test_invalid_loop_setting_is_config_error(self, runner, tmp_path, key, value):
+        config = write_config(tmp_path, {
+            "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8}, key: value,
+        })
+        result = runner.invoke(main, ["reconfig", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert key in result.output

@@ -1,8 +1,10 @@
 """Cost-minimal design: thresholds, feasibility, optimizer and sweeps."""
+import importlib
 import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,9 +23,12 @@ from d2dnet import (
     sweep,
     threshold_map,
 )
+from d2dnet import designer
 from d2dnet.designer import (
     UnattainableThresholdError,
+    _lambda_profile,
     _ranges,
+    _reduced_cost,
     certify_infeasible,
     grid_oracle,
 )
@@ -237,6 +242,29 @@ class TestOptimize:
         assert a.cost == b.cost
         assert a.params == b.params
 
+    @pytest.mark.parametrize("width", [0.0, 1e-15, 1e-12])
+    def test_degenerate_p_box(self, width):
+        # Zooms on a p box a few ulps wide cannot shrink it further.
+        bounds = ParamBounds(p_min=0.5, p_max=0.5 + width)
+        solution = optimize(make_mission(0.3, 0.3, 0.5, 0.0, bounds))
+        assert solution.status == "optimal"
+        assert bounds.p_min <= solution.params.p <= bounds.p_max
+
+    def test_bench_tracer_wraps_designer(self, monkeypatch, section_v_bounds):
+        # The benchmark's tracer patches designer.minimize by name.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        tracing = importlib.import_module("tracing")
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            designer.optimize(make_mission(0.6, 0.6, 0.8, 0.0, section_v_bounds))
+        finally:
+            tracer.uninstall()
+        names = [s.name for s in tracer.spans]
+        assert names[0] == "designer.optimize"
+        assert "designer.minimize" not in names   # no polish left to count
+        assert designer.optimize is optimize
+
 
 class TestRangeSolve:
     @pytest.mark.parametrize("eta", [2.0, 3.0, 4.0])
@@ -265,6 +293,81 @@ class TestRangeSolve:
                 assert area * (p * p * a + r2sq) >= reqc * (1 - 1e-12)
                 assert p * p * area * a >= req1 * (1 - 1e-12)
                 assert area * r2sq >= req2 * (1 - 1e-12)
+
+
+# (bound overrides of the Section V box, mission fields).  Each mission has
+# p values where one kind of lam candidate alone attains the minimum: a
+# stationary point of a monomial piece, a branch switch, or the affine
+# piece where the combined requirement binds with r2 = r2_max, or with
+# r1 = r1_min.
+PROFILE_MISSIONS = [
+    ({}, dict(t1=0.6, t2=0.6, tc=0.5)),
+    (dict(r1_min=1.0, r2_max=0.3), dict(t1=0.0, t2=0.0, tc=0.8)),
+    (dict(r2_max=0.3), dict(t1=0.0, t2=0.0, tc=0.8)),
+    (dict(r1_min=1.5, r2_max=1.5), dict(t1=0.3, t2=0.0, tc=0.95, w1=10.0, w2=5.0)),
+]
+
+
+class TestLambdaProfile:
+    @pytest.mark.parametrize("eta", [2.0, 2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("overrides, fields", PROFILE_MISSIONS)
+    def test_matches_brute_force_lambda_grid(self, section_v_bounds, eta, overrides, fields):
+        bounds = replace(section_v_bounds, **overrides)
+        mission = MissionSpec(threat=ThreatModel(delta=0.0), bounds=bounds, eta=eta, **fields)
+        ps = np.array([0.05, 0.1, 0.2, 0.3, 0.4])
+        lams = np.linspace(bounds.lambda_min, bounds.lambda_max, 100_001)
+        brute = _reduced_cost(mission, ps[:, None], lams[None, :]).min(axis=1)
+        lam, profile = _lambda_profile(mission, ps)
+        assert np.all((bounds.lambda_min <= lam) & (lam <= bounds.lambda_max))
+        assert np.array_equal(profile, _reduced_cost(mission, ps, lam))
+        assert np.all(profile <= brute * (1 + 1e-12)), (profile / brute - 1)
+
+
+@st.composite
+def random_missions(draw):
+    def interval(lo, hi):
+        a = draw(st.floats(lo, hi))
+        return a, draw(st.floats(a, hi))
+    p_min, p_max = interval(0.0, 1.0)
+    lambda_min, lambda_max = interval(0.0, 40.0)
+    r1_min, r1_max = interval(0.0, 3.0)
+    r2_min, r2_max = interval(0.0, 1.5)
+    bounds = ParamBounds(p_min=p_min, p_max=p_max, lambda_min=lambda_min,
+                         lambda_max=lambda_max, r1_min=r1_min, r1_max=r1_max,
+                         r2_min=r2_min, r2_max=r2_max)
+    t = st.floats(0.0, 0.95)
+    weight = st.floats(0.0, 300.0)
+    return MissionSpec(
+        t1=draw(t), t2=draw(t), tc=draw(t),
+        threat=ThreatModel(delta=draw(st.floats(0.0, 0.9))), bounds=bounds,
+        w1=draw(weight), w2=draw(weight), c=draw(weight),
+        eta=draw(st.sampled_from([2.0, 2.5, 3.0, 4.0, 6.0])),
+    )
+
+
+class TestOptimizeProperties:
+    @given(mission=random_missions())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_answer_is_certified_or_feasible_and_beats_grid(self, mission):
+        solution = optimize(mission)
+        assert solution.status in ("optimal", "infeasible")
+        b = mission.bounds
+        violated = certify_infeasible(mission)
+        if violated or b.r2_min > b.r1_max:
+            assert solution.status == "infeasible"
+            assert solution.active_set == (tuple(violated) or ("range_order",))
+            return
+        assert solution.status == "optimal"
+        x = solution.params
+        assert b.contains(x)
+        assert x.r1 >= x.r2
+        req1, req2, reqc = mission.required_degrees()
+        scale = {"combined": reqc, "layer1": req1, "layer2": req2,
+                 "lambda_box": b.lambda_max, "p_box": 1.0,
+                 "r1_box": b.r1_max, "r2_box": b.r2_max, "range_order": b.r1_max}
+        for name, slack in solution.slacks.items():
+            assert slack >= -1e-9 * scale[name], name
+        assert solution.cost <= grid_oracle(mission, n=15).cost * (1 + 1e-9)
 
 
 class TestSweep:

@@ -1,4 +1,6 @@
 """Closed-loop mission runs: triggers, top-up deployment, determinism."""
+import math
+
 import pytest
 
 from d2dnet import MissionSpec, Region, ScenarioEvent, ThreatModel, run_mission
@@ -102,3 +104,11 @@ class TestRunMission:
             run_mission(intelligence, [], t_r=0)
         with pytest.raises(ValueError):
             run_mission(intelligence, [], epsilon=0.0)
+
+    @pytest.mark.parametrize("setting", [
+        {"epsilon": math.nan}, {"epsilon": math.inf},
+        {"t_r": 1.5}, {"horizon": math.nan},
+    ])
+    def test_rejects_non_finite_or_fractional_settings(self, intelligence, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            run_mission(intelligence, [], **setting)
