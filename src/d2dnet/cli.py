@@ -476,7 +476,7 @@ def reconfig(config_path, seed, out):
             raise ConfigError(f"invalid scenario event: {exc}")
         try:
             t_r, epsilon, horizon = _check_loop_settings(
-                cfg.get("t_r", 50), cfg.get("epsilon", 0.05), cfg.get("horizon", 200))
+                cfg.get("t_r", 50), cfg.get("epsilon", 0.05), cfg.get("horizon", 200), events)
         except ValueError as exc:
             raise ConfigError(f"invalid mission loop: {exc}")
         trace = run_mission(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy.special import gammaln, xlogy
 
 
 class TruncationError(RuntimeError):
@@ -181,7 +181,9 @@ def _poisson_pmf(mu: float, k_max: int) -> np.ndarray:
         out = np.zeros(k_max + 1)
         out[0] = 1.0
         return out
-    return stats.poisson.pmf(np.arange(k_max + 1), mu)
+    # scipy.stats.poisson.pmf's own formula, without importing scipy.stats.
+    k = np.arange(k_max + 1)
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
 
 
 def intra_layer_pmf(params: NetworkParams, layer: int, k_max: int | None = None) -> np.ndarray:

@@ -17,9 +17,18 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize  # noqa: F401  bench/tracing.py wraps it until ROADMAP O1
 
 from .degree import NetworkParams, ParamBounds, ThreatModel, spreading_rates
+
+
+def __getattr__(name: str):
+    # bench/tracing.py wraps ``designer.minimize``, which nothing here calls;
+    # import it only on that access so scipy.optimize stays out of start-up.
+    # Goes with the bench change of ROADMAP O1.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class UnattainableThresholdError(ValueError):
@@ -145,7 +154,11 @@ _ACTIVE_REL = 1e-6
 
 def _solution_from_point(x, mission: MissionSpec) -> DesignSolution:
     p, lam, r1, r2 = x
-    params = NetworkParams(p=p, lam=lam, r1=r1, r2=max(0.0, min(r2, r1)))
+    b = mission.bounds
+    # A range from sqrt(r^2) can land one ulp outside its box.
+    r1 = min(max(r1, b.r1_min), b.r1_max)
+    r2 = min(max(r2, b.r2_min), b.r2_max, r1)
+    params = NetworkParams(p=p, lam=lam, r1=r1, r2=r2)
     slacks = feasible(params, mission)
     req1, req2, reqc = mission.required_degrees()
     scale = {

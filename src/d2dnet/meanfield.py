@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .degree import pmf_moments
 
@@ -107,6 +106,8 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     if stationarity(1.0) >= 0.0:
         theta = 1.0
     else:
+        from scipy.optimize import brentq   # here, to keep scipy.optimize out of start-up
+
         theta = brentq(stationarity, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     informed = _informed_fractions(alpha, theta, k_max)
     residual = abs(theta - float(kp @ informed) / mean)

@@ -82,19 +82,26 @@ class MissionInfeasibleError(RuntimeError):
     """Initial mission cannot be satisfied within the parameter bounds."""
 
 
-def _check_loop_settings(t_r, epsilon, horizon) -> tuple[int, float, int]:
+def _check_loop_settings(t_r, epsilon, horizon, events) -> tuple[int, float, int]:
     """Validated (t_r, epsilon, horizon) of the mission loop.
 
-    t_r and horizon must be finite integers (t_r >= 1) and epsilon finite
-    and positive; anything else raises ValueError.
+    t_r and horizon must be finite integers with 1 <= t_r <= horizon,
+    epsilon finite and positive, and no event may come after the
+    horizon; anything else raises ValueError.
     """
     for name, value in (("t_r", t_r), ("horizon", horizon)):
         if not isinstance(value, numbers.Real) or not float(value).is_integer():
             raise ValueError(f"{name} must be a finite integer, got {value!r}")
     if t_r < 1:
         raise ValueError("t_r must be >= 1")
+    if horizon < t_r:
+        raise ValueError(f"horizon {horizon} is shorter than t_r {t_r}: no check would run")
     if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    for ev in events:
+        if ev.time > horizon:
+            raise ValueError(
+                f"scenario event at t={ev.time} ({ev.kind}) comes after the horizon {horizon}")
     return int(t_r), float(epsilon), int(horizon)
 
 
@@ -108,7 +115,7 @@ def run_mission(
     region: Region = Region(10.0, 10.0),
 ) -> ReconfigTrace:
     """Run the closed deploy/estimate/re-optimize loop to the horizon."""
-    t_r, epsilon, horizon = _check_loop_settings(t_r, epsilon, horizon)
+    t_r, epsilon, horizon = _check_loop_settings(t_r, epsilon, horizon, scenario)
     events = sorted(scenario, key=lambda e: e.time)
 
     initial = optimize(mission)

@@ -2,6 +2,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -23,6 +27,18 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # Start-up cost: nothing uses scipy.stats, and scipy.optimize loads
+    # on the first Theta solve.
+    script = ("import sys, d2dnet.cli\n"
+              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestConfigHandling:
@@ -257,6 +273,7 @@ class TestReconfigCommand:
 
     @pytest.mark.parametrize("key, value", [
         ("t_r", 1.5), ("horizon", math.inf), ("epsilon", math.nan),
+        ("horizon", -5), ("scenario", [{"time": 500, "kind": "device_loss"}]),
     ])
     def test_invalid_loop_setting_is_config_error(self, runner, tmp_path, key, value):
         config = write_config(tmp_path, {

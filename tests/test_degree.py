@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from d2dnet import (
     NetworkParams,
@@ -18,6 +19,8 @@ from d2dnet import (
 )
 from d2dnet.degree import (
     DegenerateModelError,
+    _poisson_pmf,
+    default_k_max,
     pmf_moments,
     threshold_from_pmf,
 )
@@ -27,6 +30,20 @@ def poisson_pmf(mean, k_max):
     k = np.arange(k_max + 1)
     logp = -mean + k * np.log(mean) - [math.lgamma(i + 1) for i in k]
     return np.exp(logp)
+
+
+# Poisson means lam * pi * r^2 of the README examples (lam 15 and 50 per
+# km^2, r 0.5 and 1 km), then very small and large means and mu = 0.
+README_MEANS = [lam * math.pi * r * r for lam in (15.0, 50.0) for r in (0.5, 1.0)]
+EDGE_MEANS = [0.0, 1e-300, 1e-12, 1e-3, 0.1, 1.0, 7.5, 30.0, 123.4, 400.0, 2500.0]
+
+
+class TestPoissonPmf:
+    @pytest.mark.parametrize("mu", README_MEANS + EDGE_MEANS)
+    def test_equals_scipy_stats_bit_for_bit(self, mu):
+        k_max = default_k_max(mu)
+        expected = stats.poisson.pmf(np.arange(k_max + 1), mu)
+        assert np.array_equal(_poisson_pmf(mu, k_max), expected)
 
 
 class TestSpreadingRates:

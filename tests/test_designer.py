@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -250,6 +251,28 @@ class TestOptimize:
         assert solution.status == "optimal"
         assert bounds.p_min <= solution.params.p <= bounds.p_max
 
+    def test_equal_r1_bounds_stay_in_box(self):
+        # sqrt(r1^2) once came back one ulp below r1_min == r1_max.
+        bounds = ParamBounds(
+            p_min=0.17586255838067552, p_max=0.8308308749928401,
+            lambda_min=4.720767820335478, lambda_max=9.434437937166571,
+            r1_min=1.240294297857894, r1_max=1.240294297857894,
+            r2_min=0.07882117235170638, r2_max=0.7598661078103837)
+        mission = MissionSpec(t1=0.7481311331883022, t2=0.22363705004315299,
+                              tc=0.9165040623046574,
+                              threat=ThreatModel(delta=0.11083854696886761),
+                              bounds=bounds, eta=2.5)
+        solution = optimize(mission)
+        assert solution.status == "optimal"
+        assert bounds.contains(solution.params, tol=0.0)
+        assert solution.params.r1 == bounds.r1_max
+        assert solution.slacks["r1_box"] >= 0.0
+
+    def test_minimize_resolves_lazily(self):
+        assert designer.minimize is scipy.optimize.minimize
+        with pytest.raises(AttributeError):
+            getattr(designer, "no_such_name")
+
     def test_bench_tracer_wraps_designer(self, monkeypatch, section_v_bounds):
         # The benchmark's tracer patches designer.minimize by name.
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -359,7 +382,7 @@ class TestOptimizeProperties:
             return
         assert solution.status == "optimal"
         x = solution.params
-        assert b.contains(x)
+        assert b.contains(x, tol=0.0)
         assert x.r1 >= x.r2
         req1, req2, reqc = mission.required_degrees()
         scale = {"combined": reqc, "layer1": req1, "layer2": req2,

@@ -104,6 +104,9 @@ class TestRunMission:
             run_mission(intelligence, [], t_r=0)
         with pytest.raises(ValueError):
             run_mission(intelligence, [], epsilon=0.0)
+        for horizon in (-5, 0, 49):
+            with pytest.raises(ValueError, match="shorter than t_r"):
+                run_mission(intelligence, [], t_r=50, horizon=horizon)
 
     @pytest.mark.parametrize("setting", [
         {"epsilon": math.nan}, {"epsilon": math.inf},
@@ -112,3 +115,15 @@ class TestRunMission:
     def test_rejects_non_finite_or_fractional_settings(self, intelligence, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
             run_mission(intelligence, [], **setting)
+
+    def test_rejects_event_after_horizon(self, intelligence):
+        late = ScenarioEvent(time=500, kind="device_loss", loss_fraction_type1=0.5)
+        with pytest.raises(ValueError, match="after the horizon"):
+            run_mission(intelligence, [late], horizon=200)
+
+    def test_accepts_horizon_equal_to_t_r_and_event_at_horizon(self, intelligence):
+        at_end = ScenarioEvent(time=50, kind="device_loss", loss_fraction_type1=0.5)
+        trace = run_mission(intelligence, [at_end], t_r=50, horizon=50, region=REGION)
+        base = run_mission(intelligence, [], t_r=50, horizon=50, region=REGION)
+        assert [c.time for c in trace.checks] == [50]
+        assert trace.checks[0].lam1_hat < base.checks[0].lam1_hat
