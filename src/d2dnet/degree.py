@@ -9,6 +9,7 @@ follow from the disk areas pi*r^2.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -132,8 +133,8 @@ class ThreatModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +177,12 @@ def _check_residual(pmf: np.ndarray, what: str) -> np.ndarray:
     return pmf
 
 
+def _check_k_max(k_max) -> None:
+    if k_max is not None and (isinstance(k_max, bool) or not isinstance(k_max, numbers.Integral)
+                              or k_max < 0):
+        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
+
+
 def _poisson_pmf(mu: float, k_max: int) -> np.ndarray:
     if mu == 0.0:
         out = np.zeros(k_max + 1)
@@ -193,6 +200,7 @@ def intra_layer_pmf(params: NetworkParams, layer: int, k_max: int | None = None)
     has degree 0; otherwise its degree is Poisson(lam1 * pi * r1^2).
     Layer 2 is plain Poisson(lam2 * pi * r2^2).
     """
+    _check_k_max(k_max)
     if layer == 1:
         mu = params.lam1 * math.pi * params.r1 ** 2
         if k_max is None:
@@ -225,6 +233,7 @@ def combined_pmf(params: NetworkParams, k_max: int | None = None) -> np.ndarray:
     Poisson(p*lam*pi*r2^2) count with Poisson((1-p)*lam*pi*r2^2) and
     Poisson(p*lam*pi*(r1^2 - r2^2)) counts.
     """
+    _check_k_max(k_max)
     mu2 = params.lam * math.pi * params.r2 ** 2
     mu_1a = params.p * params.lam * math.pi * params.r2 ** 2
     mu_2a = (1.0 - params.p) * params.lam * math.pi * params.r2 ** 2

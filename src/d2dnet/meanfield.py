@@ -240,8 +240,8 @@ _STATE_SLACK = 1e-6
 def _check_time_grid(horizon: float, step: float) -> None:
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    if not math.isfinite(horizon):
-        raise ValueError(f"horizon must be finite, got {horizon}")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError(f"horizon must be finite and nonnegative, got {horizon}")
 
 
 def integrate_single(

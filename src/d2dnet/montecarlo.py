@@ -7,15 +7,18 @@ the all-uninformed state, so on extinction the state is regenerated by
 re-seeding one random node (standard quasi-stationary handling).
 
 All R replications advance together: a message's state is an (n, R)
-boolean matrix, one column per replication, and each step is one sparse
-matrix product per layer plus one uniform draw per node and
-replication.  Every call draws from one generator seeded with
-``SimConfig.seed``, so results are bit-for-bit deterministic per seed;
-since the replications share that stream, a replication's path also
-depends on R.
+boolean matrix, one column per replication.  A step packs each node's R
+states as the low lanes of a few uint64 words (SIMD within a register:
+narrow unsigned counters that share one machine word and add without
+carries between them) and makes one sparse matrix-vector product per
+message, plus one uniform draw per node and replication.  Every call
+draws from one generator seeded with ``SimConfig.seed``, so results are
+bit-for-bit deterministic per seed; since the replications share that
+stream, a replication's path also depends on R.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +45,10 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.time_step <= 1.0:
             raise ValueError("time_step must be in (0, 1]")
+        for name in ("burn_in", "measure_steps", "replications"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
         if self.measure_steps < 1:
@@ -82,10 +89,19 @@ def _seed_initial(n: int, replications: int, fraction: float,
 
 @dataclass(frozen=True)
 class _Channel:
-    """One message's spreading layer, set up for ``_step``."""
+    """One message's spreading layer, set up for ``_step`` at a fixed R.
 
-    counts: csr_matrix       # adjacency plus ``mark`` on the diagonal
-    threshold: np.ndarray    # indexed by a row of ``counts @ informed``
+    Row i of the counts matrix, applied to the informed indicators,
+    gives an index into ``threshold``.  ``blocks`` holds that matrix as
+    uint64 ``kron(counts, identity(words))``, node-major: node i owns
+    words i*words ... i*words + words - 1, and replication r is lane r
+    of those words, a lane being one ``lane``-typed counter.
+    """
+
+    blocks: csr_matrix       # uint64 kron(adjacency + mark * identity, identity(words))
+    words: int               # uint64 words per node, enough for R lanes
+    lane: np.dtype           # uint8, uint16 or uint32
+    threshold: np.ndarray    # indexed by a node's lane sum
     pool: np.ndarray         # nodes a quasi-stationary regeneration may re-seed
     regenerate: bool
 
@@ -99,16 +115,48 @@ def _layer(graph: MultiplexGraph, layer: int) -> csr_matrix:
 
 def _channel(adjacency: csr_matrix, alpha: float, pool: np.ndarray,
              config: SimConfig) -> _Channel:
+    """Counts matrix, lane layout and thresholds for ``config.replications``.
+
+    The lane is the narrowest unsigned type that holds every index of
+    ``threshold``: uint8 when 2 * mark <= 256, else uint16, else uint32.
+    A lane sum is at most 2 * mark - 1, so no carry crosses lanes.
+    """
     # A diagonal entry above every row sum makes row i of counts @ X equal
     # m_i + mark * x_i, with m_i the informed-neighbour count: one lookup
     # then gives an uninformed node (1 - p_tx)^m_i, the chance that none
     # of its m_i transmissions gets through, and an informed node p_rec.
     p_tx, p_rec = alpha * config.time_step, config.time_step
+    n = adjacency.shape[0]
     mark = int(adjacency.sum(axis=1).max()) + 1
-    counts = adjacency + mark * identity(adjacency.shape[0], dtype=np.int32, format="csr")
+    lane = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                if 2 * mark <= np.iinfo(t).max + 1)
+    words = -(-config.replications * lane.itemsize // 8)
+    counts = adjacency + mark * identity(n, dtype=np.int32, format="csr")
     threshold = np.concatenate([(1.0 - p_tx) ** np.arange(mark), np.full(mark, p_rec)])
-    return _Channel(counts, threshold, pool,
+    return _Channel(_node_major_blocks(counts, words), words, lane, threshold, pool,
                     config.quasi_stationary and p_tx > 0.0 and len(pool) > 0)
+
+
+def _node_major_blocks(counts: csr_matrix, words: int) -> csr_matrix:
+    """uint64 ``kron(counts, identity(words))`` in CSR, built directly.
+
+    Row i * words + w is row i of ``counts`` with each column j moved to
+    j * words + w.  scipy's ``kron`` builds the same matrix through COO
+    or BSR temporaries a few times its size, which raises peak RSS.
+    """
+    n, nnz = counts.shape[0], counts.nnz
+    lengths = np.diff(counts.indptr)
+    w = np.arange(words)
+    # Entry e of row i lands, in block row w, at e + (words - 1) * indptr[i] + w * lengths[i].
+    row = np.repeat(np.arange(n), lengths)
+    pos = ((np.arange(nnz) + (words - 1) * counts.indptr[:-1][row])[:, None]
+           + w * lengths[row][:, None])
+    indices = np.empty(nnz * words, np.int32)
+    indices[pos] = counts.indices[:, None] * words + w
+    data = np.empty(nnz * words, np.uint64)
+    data[pos] = counts.data[:, None]
+    indptr = np.concatenate(([0], np.cumsum(np.repeat(lengths, words))))
+    return csr_matrix((data, indices, indptr), shape=(n * words, n * words))
 
 
 def _step(informed: np.ndarray, channel: _Channel, rng: np.random.Generator) -> np.ndarray:
@@ -117,10 +165,17 @@ def _step(informed: np.ndarray, channel: _Channel, rng: np.random.Generator) -> 
     One uniform u per node and replication: an informed node recovers if
     u < p_rec, an uninformed one with m informed neighbours is informed
     if u >= (1 - p_tx)^m.  That is the law of independent per-edge
-    transmissions, with at most one status change per node.
+    transmissions, with at most one status change per node.  The
+    indices come from one product of ``channel.blocks`` with the state
+    packed one replication per lane; ``informed`` must have the R
+    columns the channel was built for.
     """
+    n, reps = informed.shape
     u = rng.random(informed.shape)
-    return u >= channel.threshold.take(channel.counts @ informed)
+    lanes = np.zeros((n, channel.words * 8 // channel.lane.itemsize), channel.lane)
+    lanes[:, :reps] = informed
+    sums = channel.blocks @ lanes.view(np.uint64).ravel()
+    return u >= channel.threshold.take(sums.view(channel.lane).reshape(n, -1)[:, :reps])
 
 
 def _standard_error(values: np.ndarray) -> float:

@@ -86,8 +86,9 @@ def _check_loop_settings(t_r, epsilon, horizon, events) -> tuple[int, float, int
     """Validated (t_r, epsilon, horizon) of the mission loop.
 
     t_r and horizon must be finite integers with 1 <= t_r <= horizon,
-    epsilon finite and positive, and no event may come after the
-    horizon; anything else raises ValueError.
+    epsilon finite and positive, and no event may come after the last
+    check, at (horizon // t_r) * t_r, where it would never be applied;
+    anything else raises ValueError.
     """
     for name, value in (("t_r", t_r), ("horizon", horizon)):
         if not isinstance(value, numbers.Real) or not float(value).is_integer():
@@ -98,10 +99,15 @@ def _check_loop_settings(t_r, epsilon, horizon, events) -> tuple[int, float, int
         raise ValueError(f"horizon {horizon} is shorter than t_r {t_r}: no check would run")
     if not (isinstance(epsilon, numbers.Real) and math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
+    last_check = horizon // t_r * t_r
     for ev in events:
         if ev.time > horizon:
             raise ValueError(
                 f"scenario event at t={ev.time} ({ev.kind}) comes after the horizon {horizon}")
+        if ev.time > last_check:
+            raise ValueError(
+                f"scenario event at t={ev.time} ({ev.kind}) comes after the last check "
+                f"at t={last_check:g} and would never be applied")
     return int(t_r), float(epsilon), int(horizon)
 
 

@@ -271,13 +271,17 @@ class TestReconfigCommand:
         assert result.exit_code == 2
         assert "event time" in result.output
 
-    @pytest.mark.parametrize("key, value", [
-        ("t_r", 1.5), ("horizon", math.inf), ("epsilon", math.nan),
-        ("horizon", -5), ("scenario", [{"time": 500, "kind": "device_loss"}]),
-    ])
-    def test_invalid_loop_setting_is_config_error(self, runner, tmp_path, key, value):
+    @pytest.mark.parametrize("key, value, others", [
+        ("t_r", 1.5, {}), ("horizon", math.inf, {}), ("epsilon", math.nan, {}),
+        ("horizon", -5, {}), ("scenario", [{"time": 500, "kind": "device_loss"}], {}),
+        # Checks at 60, 120 and 180: the event at 190 would never be applied.
+        ("scenario", [{"time": 190, "kind": "device_loss", "loss_fraction_type1": 0.9}],
+         {"t_r": 60, "horizon": 200}),
+    ], ids=["t_r-1.5", "horizon-inf", "epsilon-nan", "horizon--5", "scenario-value4",
+            "scenario-after-last-check"])
+    def test_invalid_loop_setting_is_config_error(self, runner, tmp_path, key, value, others):
         config = write_config(tmp_path, {
-            "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8}, key: value,
+            "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8}, key: value, **others,
         })
         result = runner.invoke(main, ["reconfig", "--config", config,
                                       "--out", str(tmp_path / "out")])

@@ -236,3 +236,15 @@ class TestParamValidation:
     def test_rejects_invalid_threat(self):
         with pytest.raises(ValueError):
             ThreatModel(delta=1.5)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_gamma_not_positive_and_finite(self, gamma):
+        with pytest.raises(ValueError, match="gamma"):
+            ThreatModel(delta=0.1, gamma=gamma)
+
+    @pytest.mark.parametrize("k_max", [2.5, -1, True])
+    @pytest.mark.parametrize("fn", [combined_pmf, degree_moments,
+                                    lambda params, k: intra_layer_pmf(params, 2, k)])
+    def test_rejects_invalid_k_max(self, fn, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            fn(NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5), k_max)

@@ -182,6 +182,11 @@ class TestIntegrateSingle:
         with pytest.raises(ValueError):
             integrate_single(np.array(pmf), 0.5, 0.1, horizon=10.0)
 
+    @pytest.mark.parametrize("horizon", [-1.0, -1e-9])
+    def test_rejects_negative_horizon(self, horizon):
+        with pytest.raises(ValueError, match="horizon"):
+            integrate_single(poisson_pmf(8.0), 0.5, 0.1, horizon=horizon)
+
     @pytest.mark.parametrize("alpha", [math.nan, -0.5, 1.5])
     def test_rejects_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse import identity, kron
 
 from d2dnet import (
     NetworkParams,
@@ -32,10 +33,59 @@ def complete_graph(n, region_side=5.0):
 class TestSimConfig:
     @pytest.mark.parametrize("fields", [
         {"burn_in": -1}, {"initial_fraction": -0.1}, {"initial_fraction": 1.5},
-        {"initial_fraction": math.nan}])
+        {"initial_fraction": math.nan},
+        # Counts must be real integers: replications also sets the lane layout.
+        {"burn_in": 2.5}, {"burn_in": math.nan}, {"burn_in": True},
+        {"measure_steps": 2.5}, {"measure_steps": math.nan}, {"measure_steps": True},
+        {"replications": 2.5}, {"replications": math.nan}, {"replications": True}])
     def test_rejects_out_of_range_fields(self, fields):
         with pytest.raises(ValueError):
             SimConfig(**fields)
+
+    def test_accepts_numpy_integers(self):
+        assert SimConfig(replications=np.int64(3)).replications == 3
+
+
+README_PARAMS = NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)
+
+
+class TestPackedStep:
+    """The lane-packed ``_step`` against the plain (n, R) integer product."""
+
+    @staticmethod
+    def assert_matches_unpacked(graph, reps, seed):
+        adjacency = _layer(graph, 1) + _layer(graph, 2)
+        channel = _channel(adjacency, 0.45, np.arange(graph.n), SimConfig(replications=reps))
+        mark = int(adjacency.sum(axis=1).max()) + 1
+        counts = adjacency + mark * identity(graph.n, dtype=np.int32, format="csr")
+        blocks = kron(counts, identity(channel.words, dtype=np.int32), format="csr")
+        assert channel.blocks.dtype == np.uint64
+        assert (channel.blocks != blocks).nnz == 0
+        rng = np.random.default_rng(seed)
+        # A half-informed state, plus the all-informed one: there the
+        # highest-degree node reaches the largest index, 2 * mark - 1.
+        states = [rng.random((graph.n, reps)) < 0.5, np.ones((graph.n, reps), dtype=bool)]
+        for informed in states:
+            packed_rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            packed = _step(informed, channel, packed_rng)
+            u = plain_rng.random(informed.shape)
+            expected = u >= channel.threshold.take(counts @ informed)
+            assert np.array_equal(packed, expected)
+            assert packed_rng.random() == plain_rng.random()
+        return channel, mark
+
+    @pytest.mark.parametrize("reps", [1, 7, 8, 9, 20])
+    def test_readme_graph(self, reps):
+        graph = sample_graph(README_PARAMS, Region(6.0, 6.0), seed=7)
+        channel, mark = self.assert_matches_unpacked(graph, reps, seed=reps)
+        assert channel.lane == np.uint8 and 2 * mark <= 256
+        assert channel.words == -(-reps // 8)
+
+    def test_dense_graph_needs_16_bit_lanes(self):
+        params = NetworkParams(p=0.4, lam=110.0, r1=1.0, r2=0.5)
+        graph = sample_graph(params, Region(4.0, 4.0), seed=3)
+        channel, mark = self.assert_matches_unpacked(graph, 9, seed=5)
+        assert mark > 128 and channel.lane == np.uint16 and channel.words == 3
 
 
 class TestStepLaw:
@@ -48,7 +98,7 @@ class TestStepLaw:
             Region(1.0, 1.0), seed=0)
         alpha, h, reps = 0.5, 0.3, 20_000
         channel = _channel(_layer(graph, 1) + _layer(graph, 2), alpha, np.arange(4),
-                           SimConfig(time_step=h))
+                           SimConfig(time_step=h, replications=reps))
         informed = np.zeros((4, reps), dtype=bool)
         informed[[0, 2]] = True
         freq = _step(informed, channel, np.random.default_rng(1)).mean(axis=1)

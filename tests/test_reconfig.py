@@ -121,6 +121,15 @@ class TestRunMission:
         with pytest.raises(ValueError, match="after the horizon"):
             run_mission(intelligence, [late], horizon=200)
 
+    def test_rejects_event_after_last_check(self, intelligence):
+        # Checks run at 60, 120 and 180: an event at 190 would never apply.
+        late = ScenarioEvent(time=190, kind="device_loss", loss_fraction_type1=0.9)
+        with pytest.raises(ValueError, match="last check at t=180"):
+            run_mission(intelligence, [late], t_r=60, horizon=200)
+        at_last = ScenarioEvent(time=180, kind="device_loss", loss_fraction_type1=0.9)
+        trace = run_mission(intelligence, [at_last], t_r=60, horizon=200, region=REGION)
+        assert [c.time for c in trace.checks] == [60, 120, 180]
+
     def test_accepts_horizon_equal_to_t_r_and_event_at_horizon(self, intelligence):
         at_end = ScenarioEvent(time=50, kind="device_loss", loss_fraction_type1=0.5)
         trace = run_mission(intelligence, [at_end], t_r=50, horizon=50, region=REGION)
