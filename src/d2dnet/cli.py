@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
+import os
 import sys
 from pathlib import Path
 
@@ -61,6 +63,18 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _require(cfg: dict, key: str):
@@ -182,7 +196,9 @@ def _run(ctx_command: str, config_path: str, seed: int | None, out: str, body) -
     """Shared command wrapper handling config errors and exit codes."""
     try:
         cfg = _load_config(config_path)
-        resolved_seed = int(seed if seed is not None else cfg.get("seed", 0))
+        resolved_seed = seed if seed is not None else cfg.get("seed", 0)
+        if not _is_int(resolved_seed) or resolved_seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {resolved_seed!r}")
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)
         outputs = body(cfg, resolved_seed, out_dir)
@@ -230,22 +246,31 @@ def degree(config_path, seed, out):
         }
         validate = cfg.get("validate")
         if validate:
+            from concurrent.futures import ThreadPoolExecutor
+
             region = _region_from_config(validate.get("region"))
-            n_seeds = int(validate.get("seeds", 20))
-            h1 = np.zeros(n)
-            h2 = np.zeros(n)
-            hc = np.zeros(n)
-            total = 0
-            for s in range(n_seeds):
+            n_seeds = validate.get("seeds", 20)
+            if not _is_int(n_seeds) or n_seeds < 1:
+                raise ConfigError(f"validate.seeds must be a positive integer, got {n_seeds!r}")
+
+            def histograms(s):
+                # The k-d tree build and pair queries release the GIL, so
+                # graphs sample in parallel; only the histograms come back.
                 graph = sample_graph(params, region, resolved_seed + s)
                 emp = empirical_degrees(graph)
-                for hist, acc in ((emp.hist1, h1), (emp.hist2, h2), (emp.histc, hc)):
-                    m = min(len(hist), n)
-                    acc[:m] += hist[:m]
-                total += graph.n
-            columns["emp_k1"] = h1 / total
-            columns["emp_k2"] = h2 / total
-            columns["emp_kc"] = hc / total
+                return (emp.hist1, emp.hist2, emp.histc), graph.n
+
+            acc = np.zeros((3, n))
+            total = 0
+            with ThreadPoolExecutor(min(n_seeds, _usable_cpus())) as pool:
+                # map yields in seed order and the counts are integers, so
+                # the bytes do not depend on the worker count.
+                for hists, count in pool.map(histograms, range(n_seeds)):
+                    for hist, row in zip(hists, acc):
+                        m = min(len(hist), n)
+                        row[:m] += hist[:m]
+                    total += count
+            columns["emp_k1"], columns["emp_k2"], columns["emp_kc"] = acc / total
         header = list(columns)
         _write_csv(out_dir / "degree_pmf.csv", header,
                    zip(*[columns[h] for h in header]))

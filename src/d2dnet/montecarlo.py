@@ -45,12 +45,14 @@ class SimConfig:
     def __post_init__(self):
         if not 0.0 < self.time_step <= 1.0:
             raise ValueError("time_step must be in (0, 1]")
-        for name in ("burn_in", "measure_steps", "replications"):
+        for name in ("burn_in", "measure_steps", "replications", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.burn_in < 0:
             raise ValueError("burn_in must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.measure_steps < 1:
             raise ValueError("measure_steps must be >= 1")
         if self.replications < 1:
@@ -100,7 +102,7 @@ class _Channel:
 
     blocks: csr_matrix       # uint64 kron(adjacency + mark * identity, identity(words))
     words: int               # uint64 words per node, enough for R lanes
-    lane: np.dtype           # uint8, uint16 or uint32
+    lane: np.dtype           # uint8, uint16, uint32 or uint64
     threshold: np.ndarray    # indexed by a node's lane sum
     pool: np.ndarray         # nodes a quasi-stationary regeneration may re-seed
     regenerate: bool
@@ -117,9 +119,12 @@ def _channel(adjacency: csr_matrix, alpha: float, pool: np.ndarray,
              config: SimConfig) -> _Channel:
     """Counts matrix, lane layout and thresholds for ``config.replications``.
 
-    The lane is the narrowest unsigned type that holds every index of
-    ``threshold``: uint8 when 2 * mark <= 256, else uint16, else uint32.
-    A lane sum is at most 2 * mark - 1, so no carry crosses lanes.
+    ``words`` is sized for the narrowest unsigned lane that holds every
+    index of ``threshold``: uint8 when 2 * mark <= 256, else uint16, else
+    uint32.  A lane sum is at most 2 * mark - 1, so no carry crosses
+    lanes.  The lane is then the widest type that still fits R lanes in
+    those words, so a small R reads a contiguous (n, R) lane view: R = 1
+    gets uint64, R = 2 uint32 and R = 3 or 4 uint16 lanes.
     """
     # A diagonal entry above every row sum makes row i of counts @ X equal
     # m_i + mark * x_i, with m_i the informed-neighbour count: one lookup
@@ -128,9 +133,12 @@ def _channel(adjacency: csr_matrix, alpha: float, pool: np.ndarray,
     p_tx, p_rec = alpha * config.time_step, config.time_step
     n = adjacency.shape[0]
     mark = int(adjacency.sum(axis=1).max()) + 1
-    lane = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
-                if 2 * mark <= np.iinfo(t).max + 1)
-    words = -(-config.replications * lane.itemsize // 8)
+    reps = config.replications
+    narrowest = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
+                     if 2 * mark <= np.iinfo(t).max + 1)
+    words = -(-reps * narrowest.itemsize // 8)
+    lane = next(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8)
+                if reps * np.dtype(t).itemsize <= 8 * words)
     counts = adjacency + mark * identity(n, dtype=np.int32, format="csr")
     threshold = np.concatenate([(1.0 - p_tx) ** np.arange(mark), np.full(mark, p_rec)])
     return _Channel(_node_major_blocks(counts, words), words, lane, threshold, pool,

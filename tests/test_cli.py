@@ -1,5 +1,6 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 import csv
+import hashlib
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from d2dnet import cli
 from d2dnet.cli import main
 
 
@@ -111,6 +113,72 @@ class TestDegreeCommand:
         rows = read_csv(out / "degree_pmf.csv")
         emp_total = sum(float(r["emp_kc"]) for r in rows)
         assert emp_total == pytest.approx(1.0, abs=0.05)
+
+
+class TestDegreeValidation:
+    """The README ``degree`` example, validated on 20 graphs at --seed 1."""
+
+    CONFIG = {
+        "params": {"p": 0.4, "lambda": 50.0, "r1_m": 1000, "r2_m": 500},
+        "validate": {"seeds": 20, "region": {"width": 10, "height": 10}},
+    }
+    # sha256 of the artifacts as first recorded; any change to sampling,
+    # the pair query or the histogram sums moves them.  Update on purpose only.
+    SHA256 = {
+        "degree_moments.json": "e84d7cc55718f45e9680c53aecd27968dd0d0dd2d41fdb9af005b24643cdd5da",
+        "degree_pmf.csv": "53f9c9b3b98aca63c53b0a81f494a4707bb723a381a98144f12bddf8bbf9a97d",
+        "manifest.json": "4e58b57f6e6a88e9715c0a3fc006d8e7613fee9bdc182847de88d297d7772a41",
+    }
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3], ids=["usable", "1-worker", "3-workers"])
+    def test_bytes_are_pinned_for_any_worker_count(self, runner, tmp_path, monkeypatch, cpus):
+        if cpus is not None:
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        config = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--seed", "1", "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in self.SHA256}
+        assert got == self.SHA256
+
+    def test_worker_failure_is_runtime_error(self, runner, tmp_path):
+        config = write_config(tmp_path, {
+            **self.CONFIG, "validate": {"seeds": 4, "region": {"width": 0, "height": 10}}})
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "cannot measure degrees of an empty graph" in result.output
+
+    @pytest.mark.parametrize("seeds", [0, -3, 2.5, True, "20"])
+    def test_validate_seeds_must_be_positive_integer(self, runner, tmp_path, seeds):
+        config = write_config(tmp_path, {
+            **self.CONFIG, "validate": {"seeds": seeds, "region": {"width": 4, "height": 4}}})
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "validate.seeds" in result.output
+
+
+class TestMasterSeed:
+    PARAMS = {"p": 0.4, "lambda": 15.0, "r1_m": 1000, "r2_m": 500}
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_config_seed_must_be_nonnegative_integer(self, runner, tmp_path, seed):
+        config = write_config(tmp_path, {"params": self.PARAMS, "seed": seed})
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "seed" in result.output
+
+    def test_negative_seed_flag_is_config_error(self, runner, tmp_path):
+        config = write_config(tmp_path, {"params": self.PARAMS,
+                                         "region": {"width": 2, "height": 2}})
+        result = runner.invoke(main, ["simulate", "--config", config, "--seed", "-1",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "seed" in result.output
 
 
 class TestEquilibriumCommand:

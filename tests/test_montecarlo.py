@@ -42,8 +42,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(**fields)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, math.nan, True, "1"])
+    def test_rejects_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=seed)
+
     def test_accepts_numpy_integers(self):
         assert SimConfig(replications=np.int64(3)).replications == 3
+        assert SimConfig(seed=np.uint32(7)).seed == 7
 
 
 README_PARAMS = NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)
@@ -74,12 +80,17 @@ class TestPackedStep:
             assert packed_rng.random() == plain_rng.random()
         return channel, mark
 
-    @pytest.mark.parametrize("reps", [1, 7, 8, 9, 20])
+    # The words hold R uint8 lanes; the lane is the widest type that
+    # still fits R of them there, so a small R reads a contiguous view.
+    README_LANES = {1: np.uint64, 2: np.uint32, 4: np.uint16,
+                    7: np.uint8, 8: np.uint8, 9: np.uint8, 20: np.uint8}
+
+    @pytest.mark.parametrize("reps", list(README_LANES))
     def test_readme_graph(self, reps):
         graph = sample_graph(README_PARAMS, Region(6.0, 6.0), seed=7)
         channel, mark = self.assert_matches_unpacked(graph, reps, seed=reps)
-        assert channel.lane == np.uint8 and 2 * mark <= 256
-        assert channel.words == -(-reps // 8)
+        assert 2 * mark <= 256 and channel.words == -(-reps // 8)
+        assert channel.lane == self.README_LANES[reps]
 
     def test_dense_graph_needs_16_bit_lanes(self):
         params = NetworkParams(p=0.4, lam=110.0, r1=1.0, r2=0.5)
