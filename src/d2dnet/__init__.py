@@ -32,7 +32,7 @@ from .meanfield import (
     solve_theta,
     theta_lower_bound,
 )
-from .montecarlo import SimConfig, SimResult, estimate_dissemination, simulate_dual, simulate_single
+from .montecarlo import SimConfig, SimResult, simulate_dual, simulate_single
 from .reconfig import ReconfigTrace, ScenarioEvent, run_mission
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "degree_moments",
     "empirical_degrees",
     "epidemic_threshold",
-    "estimate_dissemination",
     "feasible",
     "integrate_dual",
     "integrate_single",

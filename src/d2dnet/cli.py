@@ -232,6 +232,8 @@ def degree(config_path, seed, out):
     def body(cfg, resolved_seed, out_dir):
         params = _params_from_config(_require(cfg, "params"))
         k_max = cfg.get("k_max")
+        if k_max is not None and (not _is_int(k_max) or k_max < 0):
+            raise ConfigError(f"k_max must be a nonnegative integer, got {k_max!r}")
         model = degree_moments(params, k_max)
         n = max(len(model.pmf_k1), len(model.pmf_k2), len(model.pmf_kc))
 
@@ -246,6 +248,8 @@ def degree(config_path, seed, out):
         }
         validate = cfg.get("validate")
         if validate:
+            if not isinstance(validate, dict):
+                raise ConfigError(f"validate must be a JSON object, got {validate!r}")
             from concurrent.futures import ThreadPoolExecutor
 
             region = _region_from_config(validate.get("region"))

@@ -9,7 +9,6 @@ as the Monte Carlo oracle first asks for it.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -66,9 +65,6 @@ class MultiplexGraph:
     pairs1: np.ndarray             # (edges in layer 1, 2), i < j
     pairs2: np.ndarray             # (edges in layer 2, 2), i < j
     region: Region
-    seed: int
-    r1: float = 0.0
-    r2: float = 0.0
 
     def __post_init__(self):
         for pairs in (self.pairs1, self.pairs2):
@@ -122,10 +118,6 @@ class MultiplexGraph:
     def degree2(self) -> np.ndarray:
         return np.bincount(self.pairs2.ravel(), minlength=self.n)
 
-    def degree_combined(self) -> np.ndarray:
-        """Per-node combined degree |N1| + |N2| (common neighbours count twice)."""
-        return self.degree1() + self.degree2()
-
 
 def sample_ppp(
     params: NetworkParams, region: Region, seed: int
@@ -178,7 +170,6 @@ def build_rgg(
     types: np.ndarray,
     params: NetworkParams,
     region: Region,
-    seed: int = 0,
 ) -> MultiplexGraph:
     """Connect the sampled points into the two layers."""
     # Layer 1: type-I devices only, range r1.  idx1 is ascending, so
@@ -193,16 +184,13 @@ def build_rgg(
         pairs1=pairs1,
         pairs2=pairs2,
         region=region,
-        seed=seed,
-        r1=params.r1,
-        r2=params.r2,
     )
 
 
 def sample_graph(params: NetworkParams, region: Region, seed: int) -> MultiplexGraph:
     """Sample a fresh deployment and build both layers."""
     positions, types = sample_ppp(params, region, seed)
-    return build_rgg(positions, types, params, region, seed=seed)
+    return build_rgg(positions, types, params, region)
 
 
 @dataclass
@@ -215,7 +203,6 @@ class EmpiricalDegrees:
     mean1: float
     mean2: float
     meanc: float
-    joint_kl: np.ndarray   # counts indexed [k1, k2]
 
 
 def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
@@ -225,8 +212,6 @@ def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
     d1 = graph.degree1()
     d2 = graph.degree2()
     dc = d1 + d2
-    joint = np.zeros((d1.max() + 1, d2.max() + 1), dtype=np.int64)
-    np.add.at(joint, (d1, d2), 1)
     return EmpiricalDegrees(
         hist1=np.bincount(d1),
         hist2=np.bincount(d2),
@@ -234,34 +219,4 @@ def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
         mean1=float(d1.mean()),
         mean2=float(d2.mean()),
         meanc=float(dc.mean()),
-        joint_kl=joint,
     )
-
-
-def graph_to_dict(graph: MultiplexGraph) -> dict:
-    """JSON-ready dump with stable key order."""
-
-    def sorted_pairs(pairs: np.ndarray) -> list[list[int]]:
-        return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].tolist()
-
-    return {
-        "schema": 1,
-        "seed": graph.seed,
-        "region": {
-            "width": graph.region.width,
-            "height": graph.region.height,
-            "wrap": graph.region.wrap,
-        },
-        "r1": graph.r1,
-        "r2": graph.r2,
-        "positions": [[float(x), float(y)] for x, y in graph.positions],
-        "types": [int(t) for t in graph.types],
-        "edges_layer1": sorted_pairs(graph.pairs1),
-        "edges_layer2": sorted_pairs(graph.pairs2),
-    }
-
-
-def dump_graph(graph: MultiplexGraph, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(graph_to_dict(graph), fh, indent=2, sort_keys=False)
-        fh.write("\n")

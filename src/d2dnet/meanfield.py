@@ -8,8 +8,7 @@ fixed point
 
 which has the trivial root 0 and, for a >= E[K]/E[K^2], a unique
 positive root.  The positive root is found by bracketed root finding on
-the (monotone) stationarity equation; a damped fixed-point iteration is
-also provided as an independent cross-check.
+the (monotone) stationarity equation.
 
 Two messages spread independently, each on its own layer, so both the
 two-message equilibrium and its transient are two single-layer solves:
@@ -119,47 +118,6 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
         theta=float(theta),
         informed_by_k=informed,
         aggregate=float(pmf @ informed),
-    )
-
-
-def solve_theta_damped(
-    pmf: np.ndarray,
-    alpha: float,
-    theta0: float = 1.0,
-    damping: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-) -> SingleEquilibrium:
-    """Damped fixed-point iteration theta <- (1-d)*theta + d*F(theta).
-
-    Independent of the bracketed solver; used to cross-check uniqueness
-    from arbitrary starting points.  Raises ConvergenceError (with the
-    last residual) if tolerance is not met within max_iter.
-    """
-    pmf = np.asarray(pmf, dtype=float)
-    mean, m2 = pmf_moments(pmf)
-    k_max = len(pmf) - 1
-    if mean <= 0.0 or alpha == 0.0 or alpha * m2 < mean:
-        return SingleEquilibrium(0.0, np.zeros(k_max + 1), 0.0)
-    k = np.arange(k_max + 1, dtype=float)
-    kp = k * pmf
-
-    theta = theta0
-    for _ in range(max_iter):
-        akt = alpha * k * theta
-        f = float(kp @ (akt / (1.0 + akt))) / mean
-        residual = abs(theta - f)
-        theta = (1.0 - damping) * theta + damping * f
-        if residual < tol:
-            informed = _informed_fractions(alpha, theta, k_max)
-            return SingleEquilibrium(
-                theta=float(theta),
-                informed_by_k=informed,
-                aggregate=float(pmf @ informed),
-            )
-    raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {residual:.3e})",
-        residual,
     )
 
 

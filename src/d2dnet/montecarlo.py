@@ -19,14 +19,12 @@ stream, a replication's path also depends on R.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix, identity
 
-from .degree import NetworkParams, SpreadingRates, ThreatModel, spreading_rates
-from .geometry import TYPE_I, MultiplexGraph, Region, sample_graph
-from .meanfield import theta_lower_bound
+from .geometry import TYPE_I, MultiplexGraph
 
 
 @dataclass(frozen=True)
@@ -299,107 +297,3 @@ def simulate_dual(
         regenerations=regenerations,
         timeseries=series,
     )
-
-
-@dataclass
-class DisseminationEstimate:
-    """Connectivity- and simulation-based dissemination estimates.
-
-    t1/t2/tc estimate the informed proportion of the average-degree
-    class implied by the measured connectivity (the quantity the mission
-    thresholds are stated against); lam1_hat/lam2_hat are the measured
-    active densities.  When epidemics are run, the aggregate fields hold
-    the simulated population informed fractions.
-    """
-
-    t1: float
-    t2: float
-    tc: float
-    se_t1: float
-    se_t2: float
-    se_tc: float
-    lam1_hat: float
-    lam2_hat: float
-    aggregate_1: float | None = None
-    aggregate_2: float | None = None
-    aggregate_both: float | None = None
-    aggregate_combined: float | None = None
-    se_aggregate_1: float | None = None
-    se_aggregate_2: float | None = None
-    se_aggregate_both: float | None = None
-    se_aggregate_combined: float | None = None
-
-
-def _connectivity_estimate(
-    graph: MultiplexGraph, rates: SpreadingRates
-) -> tuple[float, float, float, float, float]:
-    """(t1, t2, tc, lam1_hat, lam2_hat): the closed-form bound at each
-    channel's mean degree, and type-I and total devices per unit area."""
-    if graph.n == 0:
-        return 0.0, 0.0, 0.0, 0.0, 0.0
-    d1 = graph.degree1()
-    d2 = graph.degree2()
-    area = graph.region.area
-    return (
-        theta_lower_bound(rates.alpha1, float(d1.mean())),
-        theta_lower_bound(rates.alpha2, float(d2.mean())),
-        theta_lower_bound(rates.alphac, float((d1 + d2).mean())),
-        float((graph.types == TYPE_I).sum() / area),
-        graph.n / area,
-    )
-
-
-def estimate_dissemination(
-    params: NetworkParams,
-    threat: ThreatModel,
-    config: SimConfig,
-    region: Region = Region(10.0, 10.0),
-    run_epidemics: bool = True,
-) -> DisseminationEstimate:
-    """Estimate prevailing dissemination from fresh graph samples.
-
-    Each replication samples a fresh deployment.  Mean degrees measured
-    on the sample give the per-message dissemination-level estimates;
-    optionally the stochastic spreading processes are simulated on the
-    same graphs to produce aggregate informed fractions.
-    """
-    rates = spreading_rates(threat)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.replications)
-    estimates = np.empty((5, config.replications))   # t1, t2, tc, lam1, lam2
-    agg = {"1": [], "2": [], "both": [], "combined": []}
-    for i, ss in enumerate(seeds):
-        graph_seed = int(ss.generate_state(1)[0])
-        graph = sample_graph(params, region, graph_seed)
-        estimates[:, i] = _connectivity_estimate(graph, rates)
-        if run_epidemics and graph.n:
-            sub_i = replace(config, replications=1, seed=graph_seed + 1,
-                            record_timeseries=False)
-            single = simulate_single(graph, rates.alphac, sub_i)
-            dual = simulate_dual(graph, rates.alpha1, rates.alpha2, sub_i)
-            agg["combined"].append(single.informed_fraction_combined)
-            agg["1"].append(dual.informed_fraction_1)
-            agg["2"].append(dual.informed_fraction_2)
-            agg["both"].append(dual.informed_fraction_both)
-
-    t1, t2, tc, lam1, lam2 = estimates
-    out = DisseminationEstimate(
-        t1=float(t1.mean()),
-        t2=float(t2.mean()),
-        tc=float(tc.mean()),
-        se_t1=_standard_error(t1),
-        se_t2=_standard_error(t2),
-        se_tc=_standard_error(tc),
-        lam1_hat=float(lam1.mean()),
-        lam2_hat=float(lam2.mean()),
-    )
-    if run_epidemics and agg["combined"]:
-        for key, (mfield, sfield) in {
-            "1": ("aggregate_1", "se_aggregate_1"),
-            "2": ("aggregate_2", "se_aggregate_2"),
-            "both": ("aggregate_both", "se_aggregate_both"),
-            "combined": ("aggregate_combined", "se_aggregate_combined"),
-        }.items():
-            vals = np.array(agg[key], dtype=float)
-            setattr(out, mfield, float(vals.mean()))
-            setattr(out, sfield, _standard_error(vals))
-    return out

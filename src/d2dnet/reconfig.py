@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .degree import NetworkParams, spreading_rates
+from .degree import NetworkParams, SpreadingRates, spreading_rates
 from .designer import MissionSpec, optimize
-from .geometry import Region, sample_graph
-from .montecarlo import _connectivity_estimate
+from .geometry import TYPE_I, MultiplexGraph, Region, sample_graph
+from .meanfield import theta_lower_bound
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,25 @@ class ReconfigTrace:
     @property
     def recompute_count(self) -> int:
         return sum(1 for c in self.checks if c.recomputed)
+
+
+def _connectivity_estimate(
+    graph: MultiplexGraph, rates: SpreadingRates
+) -> tuple[float, float, float, float, float]:
+    """(t1, t2, tc, lam1_hat, lam2_hat): the closed-form bound at each
+    channel's mean degree, and type-I and total devices per unit area."""
+    if graph.n == 0:
+        return 0.0, 0.0, 0.0, 0.0, 0.0
+    d1 = graph.degree1()
+    d2 = graph.degree2()
+    area = graph.region.area
+    return (
+        theta_lower_bound(rates.alpha1, float(d1.mean())),
+        theta_lower_bound(rates.alpha2, float(d2.mean())),
+        theta_lower_bound(rates.alphac, float((d1 + d2).mean())),
+        float((graph.types == TYPE_I).sum() / area),
+        graph.n / area,
+    )
 
 
 class MissionInfeasibleError(RuntimeError):

@@ -1,0 +1,84 @@
+"""Byte pins of every artifact the five README CLI examples write.
+
+Each command runs in-process on its README config and seed; the test
+compares the sha256 of every file in the output directory, manifest.json
+included, against the digests recorded below.  Any change to sampling,
+the simulator, the solvers, the designer or the output formatting moves
+them.  Re-record a pin only on purpose, and say which one and why.
+"""
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from d2dnet.cli import main
+
+README_COMMANDS = {
+    "degree": ({
+        "params": {"p": 0.4, "lambda": 50.0, "r1_m": 1000, "r2_m": 500},
+        "validate": {"seeds": 20, "region": {"width": 10, "height": 10}},
+    }, 1),
+    "equilibrium": ({
+        "mean_degrees": [3.14, 6.28, 12.57],
+        "alpha": [0.1, 0.2, 0.3, 0.4, 0.5],
+    }, None),
+    "simulate": ({
+        "params": {"p": 0.4, "lambda": 15.0, "r1_m": 1000, "r2_m": 500},
+        "region": {"width": 6, "height": 6},
+        "mode": "both",
+        "sim": {"replications": 10},
+    }, 7),
+    "design": ({
+        "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8, "delta": 0.0},
+        "sweep": {"variable": "delta", "grid": [0.0, 0.2, 0.4, 0.6, 0.8]},
+    }, None),
+    "reconfig": ({
+        "mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8},
+        "region": {"width": 40, "height": 40},
+        "t_r": 50, "epsilon": 0.05, "horizon": 200,
+        "scenario": [{"time": 50, "kind": "device_loss",
+                      "loss_fraction_type1": 0.5, "loss_fraction_type2": 0.5}],
+    }, 1),
+}
+
+SHA256 = {
+    "degree": {
+        "degree_moments.json": "e84d7cc55718f45e9680c53aecd27968dd0d0dd2d41fdb9af005b24643cdd5da",
+        "degree_pmf.csv": "53f9c9b3b98aca63c53b0a81f494a4707bb723a381a98144f12bddf8bbf9a97d",
+        "manifest.json": "4e58b57f6e6a88e9715c0a3fc006d8e7613fee9bdc182847de88d297d7772a41",
+    },
+    "equilibrium": {
+        "equilibrium.csv": "6e22a0a40b0504ad640727dc5092bc62dc5f2cf21732008723c62b7effda113d",
+        "manifest.json": "502b5440e4c0d440550c2baf4d86937c5a790562c56aaea8389375cbfbf3089a",
+    },
+    "simulate": {
+        "manifest.json": "ce515748ced2056d8856c14c8ed674e6e661879f6db4c272f7dbf5e7a9608021",
+        "simulate.csv": "708bf5cab8f1f943a29a8c19540ce1bd593374c61c487a0679dd03406051195f",
+    },
+    "design": {
+        "design_solution.json": "0666225d7fa47b5ab72c3f0288fbc74b557b1b893f79534b932732826d2701e1",
+        "manifest.json": "9b7bbeb316116ba49b75c076dc701665b609e805d89b8a1278c2819d223bee0b",
+        "sweep.csv": "d4173df1485946081295ec3972b9a2a024e5f105ac928150d82b661390faf1ab",
+    },
+    "reconfig": {
+        "manifest.json": "46abd5c4596d2ab01f8d62f6ced8cf9bc4ca6518ac8e5614fa0d1ed8a3e2bef6",
+        "reconfig_trace.csv": "38cea4a77b2e86dd1d131842b0f0a661b01db708524af941b2911096f2059250",
+    },
+}
+
+
+@pytest.mark.parametrize("command", list(README_COMMANDS))
+def test_readme_command_artifacts_are_pinned(tmp_path, command):
+    config, seed = README_COMMANDS[command]
+    out = tmp_path / "out"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    args = [command, "--config", str(path), "--out", str(out)]
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(out.iterdir())}
+    assert got == SHA256[command]

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from test_artifacts import README_COMMANDS, SHA256 as ARTIFACT_SHA256
+
 from d2dnet import cli
 from d2dnet.cli import main
 
@@ -114,21 +116,21 @@ class TestDegreeCommand:
         emp_total = sum(float(r["emp_kc"]) for r in rows)
         assert emp_total == pytest.approx(1.0, abs=0.05)
 
+    @pytest.mark.parametrize("k_max", [2.5, -1, True, "40"])
+    def test_k_max_must_be_nonnegative_integer(self, runner, tmp_path, k_max):
+        config = write_config(tmp_path, {
+            "params": {"p": 0.4, "lambda": 20.0, "r1_m": 800, "r2_m": 400}, "k_max": k_max})
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "k_max" in result.output
+
 
 class TestDegreeValidation:
     """The README ``degree`` example, validated on 20 graphs at --seed 1."""
 
-    CONFIG = {
-        "params": {"p": 0.4, "lambda": 50.0, "r1_m": 1000, "r2_m": 500},
-        "validate": {"seeds": 20, "region": {"width": 10, "height": 10}},
-    }
-    # sha256 of the artifacts as first recorded; any change to sampling,
-    # the pair query or the histogram sums moves them.  Update on purpose only.
-    SHA256 = {
-        "degree_moments.json": "e84d7cc55718f45e9680c53aecd27968dd0d0dd2d41fdb9af005b24643cdd5da",
-        "degree_pmf.csv": "53f9c9b3b98aca63c53b0a81f494a4707bb723a381a98144f12bddf8bbf9a97d",
-        "manifest.json": "4e58b57f6e6a88e9715c0a3fc006d8e7613fee9bdc182847de88d297d7772a41",
-    }
+    CONFIG = README_COMMANDS["degree"][0]
+    SHA256 = ARTIFACT_SHA256["degree"]
 
     @pytest.mark.parametrize("cpus", [None, 1, 3], ids=["usable", "1-worker", "3-workers"])
     def test_bytes_are_pinned_for_any_worker_count(self, runner, tmp_path, monkeypatch, cpus):
@@ -150,6 +152,14 @@ class TestDegreeValidation:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "cannot measure degrees of an empty graph" in result.output
+
+    @pytest.mark.parametrize("validate", [True, 1, "yes", [20]])
+    def test_validate_must_be_an_object(self, runner, tmp_path, validate):
+        config = write_config(tmp_path, {**self.CONFIG, "validate": validate})
+        result = runner.invoke(main, ["degree", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2
+        assert "validate" in result.output
 
     @pytest.mark.parametrize("seeds", [0, -3, 2.5, True, "20"])
     def test_validate_seeds_must_be_positive_integer(self, runner, tmp_path, seeds):

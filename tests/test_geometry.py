@@ -1,6 +1,5 @@
 """Spatial sampling, multiplex RGG construction and empirical degrees."""
 import hashlib
-import json
 import math
 
 import numpy as np
@@ -9,8 +8,8 @@ import pytest
 from d2dnet import (NetworkParams, Region, ThreatModel, build_rgg, empirical_degrees,
                     sample_graph, sample_ppp, spreading_rates)
 from d2dnet import geometry
-from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph, dump_graph, graph_to_dict
-from d2dnet.montecarlo import _connectivity_estimate
+from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph
+from d2dnet.reconfig import _connectivity_estimate
 
 
 PARAMS = NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5)
@@ -29,6 +28,11 @@ def reference_pairs(positions, types, params, region):
     in2 = dist[i, j] <= params.r2
     return ([[int(a), int(b)] for a, b in zip(i[in1], j[in1])],
             [[int(a), int(b)] for a, b in zip(i[in2], j[in2])])
+
+
+def sorted_pairs(pairs):
+    """A layer's (i < j) pairs as int64, in lexicographic order."""
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))].astype(np.int64)
 
 
 class TestSamplePpp:
@@ -102,7 +106,7 @@ class TestBuildRgg:
         region = Region(3.0, 2.0, wrap=wrap)
         params = NetworkParams(p=0.4, lam=20.0, r1=0.6, r2=0.35)
         positions, types = sample_ppp(params, region, seed)
-        graph = build_rgg(positions, types, params, region, seed=seed)
+        graph = build_rgg(positions, types, params, region)
         ref1, ref2 = reference_pairs(positions, types, params, region)
         assert ref1 and ref2
         for adj, indptr, degree, ref in ((graph.adj1, graph.indptr1, graph.degree1(), ref1),
@@ -117,9 +121,8 @@ class TestBuildRgg:
                 arcs.update((i, int(j)) for j in row)
             assert arcs == {(j, i) for i, j in arcs}
             assert sorted([i, j] for i, j in arcs if i < j) == ref
-        dumped = graph_to_dict(graph)
-        assert dumped["edges_layer1"] == ref1
-        assert dumped["edges_layer2"] == ref2
+        assert sorted_pairs(graph.pairs1).tolist() == ref1
+        assert sorted_pairs(graph.pairs2).tolist() == ref2
 
     @pytest.mark.parametrize("region", [Region(0.0, 5.0), Region(0.2, 0.2)])
     def test_tiny_graph_has_one_row_per_node(self, region):
@@ -128,14 +131,14 @@ class TestBuildRgg:
         assert len(graph.degree1()) == len(graph.degree2()) == graph.n
         assert len(graph.adj1) == len(graph.adj2) == graph.n
         assert len(graph.indptr1) == len(graph.indptr2) == graph.n + 1
-        assert graph_to_dict(graph)["edges_layer2"] == reference_pairs(
+        assert sorted_pairs(graph.pairs2).tolist() == reference_pairs(
             graph.positions, graph.types, PARAMS, region)[1]
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_degenerate_sample_degrees_have_length_n(self, n):
         graph = build_rgg(np.full((n, 2), 2.0), np.full(n, TYPE_I, dtype=np.int8),
                           PARAMS, REGION)
-        for degree in (graph.degree1(), graph.degree2(), graph.degree_combined()):
+        for degree in (graph.degree1(), graph.degree2()):
             assert np.array_equal(degree, np.zeros(n))
 
     @pytest.mark.parametrize("pairs", [
@@ -144,15 +147,9 @@ class TestBuildRgg:
     def test_rejects_invalid_pairs(self, pairs):
         empty = np.empty((0, 2), dtype=np.int64)
         with pytest.raises(ValueError):
-            MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), empty, pairs, REGION, seed=0)
+            MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), empty, pairs, REGION)
         with pytest.raises(ValueError):
-            MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), pairs, empty, REGION, seed=0)
-
-    def test_combined_degree_is_layer_sum(self):
-        graph = sample_graph(PARAMS, REGION, seed=4)
-        assert np.array_equal(
-            graph.degree_combined(), graph.degree1() + graph.degree2()
-        )
+            MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), pairs, empty, REGION)
 
 
 class TestLazyCsr:
@@ -171,7 +168,6 @@ class TestLazyCsr:
         graph = sample_graph(PARAMS, REGION, seed=5)
         empirical_degrees(graph)
         _connectivity_estimate(graph, spreading_rates(ThreatModel(delta=0.0)))
-        graph_to_dict(graph)
         assert csr_calls == []
 
     def test_csr_built_once_per_layer_on_first_access(self, csr_calls):
@@ -203,36 +199,23 @@ class TestEmpiricalDegrees:
         assert emp.hist1.sum() == graph.n
         assert emp.hist2.sum() == graph.n
         assert emp.histc.sum() == graph.n
-        assert emp.joint_kl.sum() == graph.n
-
-    def test_joint_marginals_match_histograms(self):
-        graph = sample_graph(PARAMS, REGION, seed=2)
-        emp = empirical_degrees(graph)
-        assert np.array_equal(emp.joint_kl.sum(axis=1), emp.hist1)
-        assert np.array_equal(emp.joint_kl.sum(axis=0), emp.hist2)
 
 
 class TestSerialization:
-    def test_round_trip_through_json(self, tmp_path):
-        graph = sample_graph(NetworkParams(p=0.3, lam=5.0, r1=0.8, r2=0.4),
-                             Region(4.0, 4.0), seed=9)
-        path = tmp_path / "graph.json"
-        dump_graph(graph, path)
-        loaded = json.loads(path.read_text())
-        assert len(loaded["types"]) == graph.n
-        assert loaded == graph_to_dict(graph)
-
     @pytest.mark.parametrize("wrap, digest", [
-        (True, "2de1942f087625dd430780652cc1bc823fef5252b79acbb0f895aa4493f6e7be"),
-        (False, "0371d764c759953181093ead120e5b958bb29b2b9dcce6263be85d157d7c0718")])
-    def test_dump_bytes_are_pinned(self, tmp_path, wrap, digest):
-        # The dump lists each layer's (i < j) pairs in lexicographic order,
-        # whatever order the k-d tree query returned them in.
+        (True, "7bfcaac661dbf37ad7546aa0f1d432c78ea9eefa598b45d45b341986403d33b6"),
+        (False, "27bb996c967b3e8dd1b4fecb72d394186ea03fe234681eb704ce9165b57ef456")],
+        ids=["True", "False"])
+    def test_graph_bytes_are_pinned(self, wrap, digest):
+        # Each layer's pairs are hashed in lexicographic order, whatever
+        # order the k-d tree query returned them in.
         graph = sample_graph(NetworkParams(p=0.3, lam=5.0, r1=0.8, r2=0.4),
                              Region(4.0, 4.0, wrap=wrap), seed=9)
-        path = tmp_path / "graph.json"
-        dump_graph(graph, path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        sha = hashlib.sha256()
+        for array in (graph.positions, graph.types,
+                      sorted_pairs(graph.pairs1), sorted_pairs(graph.pairs2)):
+            sha.update(array.tobytes())
+        assert sha.hexdigest() == digest
 
     def test_region_rejects_negative_dimensions(self):
         with pytest.raises(ValueError):

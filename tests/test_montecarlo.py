@@ -11,13 +11,14 @@ from d2dnet import (
     Region,
     SimConfig,
     ThreatModel,
-    estimate_dissemination,
     sample_graph,
     simulate_dual,
     simulate_single,
+    spreading_rates,
 )
 from d2dnet.geometry import TYPE_I, TYPE_II, MultiplexGraph
 from d2dnet.montecarlo import _channel, _layer, _step
+from d2dnet.reconfig import _connectivity_estimate
 
 
 def complete_graph(n, region_side=5.0):
@@ -27,7 +28,7 @@ def complete_graph(n, region_side=5.0):
     types = np.full(n, TYPE_I, dtype=np.int8)
     pairs2 = np.array(list(itertools.combinations(range(n), 2)), dtype=np.int64)
     return MultiplexGraph(positions, types, np.empty((0, 2), dtype=np.int64), pairs2,
-                          Region(region_side, region_side), seed=0)
+                          Region(region_side, region_side))
 
 
 class TestSimConfig:
@@ -106,7 +107,7 @@ class TestStepLaw:
         graph = MultiplexGraph(
             np.zeros((4, 2)), np.array([TYPE_I, TYPE_I, TYPE_II, TYPE_II], dtype=np.int8),
             np.array([[0, 1]]), np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
-            Region(1.0, 1.0), seed=0)
+            Region(1.0, 1.0))
         alpha, h, reps = 0.5, 0.3, 20_000
         channel = _channel(_layer(graph, 1) + _layer(graph, 2), alpha, np.arange(4),
                            SimConfig(time_step=h, replications=reps))
@@ -130,36 +131,35 @@ class TestGoldenValues:
     """
 
     GRAPH = (NetworkParams(p=0.5, lam=20.0, r1=0.7, r2=0.4), Region(3.0, 3.0), 10)
-    CONFIG = SimConfig(burn_in=60, measure_steps=40, replications=3, seed=11)
+
+    @staticmethod
+    def config(reps):
+        return SimConfig(burn_in=60, measure_steps=40, replications=reps, seed=11)
 
     def test_graph(self):
         graph = sample_graph(*self.GRAPH)
         assert (graph.n, len(graph.indices1) // 2, len(graph.indices2) // 2) == (213, 1108, 1248)
 
+    # R = 1 steps on a single uint64 lane per node, R = 3 on uint16 lanes.
     def test_simulate_single(self):
-        res = simulate_single(sample_graph(*self.GRAPH), 0.45, self.CONFIG)
-        assert res.informed_fraction_combined == 0.8237871674491393
-        assert res.se_combined == 0.005097345156805718
-        assert res.extinctions == 0
+        for reps, fraction, se in ((1, 0.8302816901408452, 0.0),
+                                   (3, 0.8237871674491393, 0.005097345156805718)):
+            res = simulate_single(sample_graph(*self.GRAPH), 0.45, self.config(reps))
+            assert res.informed_fraction_combined == fraction, reps
+            assert res.se_combined == se, reps
+            assert res.extinctions == 0, reps
 
     def test_simulate_dual(self):
-        res = simulate_dual(sample_graph(*self.GRAPH), 0.5, 0.4, self.CONFIG)
-        assert res.informed_fraction_1 == 0.46240219092331764
-        assert res.informed_fraction_2 == 0.729733959311424
-        assert res.informed_fraction_both == 0.3362284820031298
-        assert (res.se_1, res.se_2, res.se_both) == (
-            0.00044090092604007875, 0.009605389165464868, 0.0063370620798127)
-        assert res.extinctions == 0
-
-    def test_estimate_dissemination(self):
-        est = estimate_dissemination(
-            NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5), ThreatModel(delta=0.2),
-            SimConfig(burn_in=30, measure_steps=20, replications=2, seed=3), Region(3.0, 3.0))
-        assert (est.t1, est.t2, est.tc) == (
-            0.837513831033585, 0.9027578497200011, 0.9391724629610421)
-        assert (est.lam1_hat, est.lam2_hat) == (6.333333333333334, 16.055555555555557)
-        assert (est.aggregate_1, est.aggregate_2, est.aggregate_both, est.aggregate_combined) == (
-            0.34246245155038757, 0.8541303294573643, 0.29596899224806195, 0.8686337209302325)
+        for reps, fractions, ses in (
+                (1, (0.4588028169014085, 0.747887323943662, 0.35023474178403746),
+                 (0.0, 0.0, 0.0)),
+                (3, (0.46240219092331764, 0.729733959311424, 0.3362284820031298),
+                 (0.00044090092604007875, 0.009605389165464868, 0.0063370620798127))):
+            res = simulate_dual(sample_graph(*self.GRAPH), 0.5, 0.4, self.config(reps))
+            assert (res.informed_fraction_1, res.informed_fraction_2,
+                    res.informed_fraction_both) == fractions, reps
+            assert (res.se_1, res.se_2, res.se_both) == ses, reps
+            assert res.extinctions == 0, reps
 
 
 class TestSimulateSingle:
@@ -251,23 +251,22 @@ class TestSimulateDual:
 
 
 class TestEstimateDissemination:
+    """The mission loop's connectivity estimate on sampled graphs."""
+
+    PARAMS = NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)
+
     def test_full_jamming_gives_zero_estimates(self):
-        params = NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)
-        config = SimConfig(burn_in=50, measure_steps=20, replications=2, seed=0)
-        est = estimate_dissemination(params, ThreatModel(delta=1.0), config,
-                                     Region(4.0, 4.0), run_epidemics=False)
-        assert est.t1 == est.t2 == est.tc == 0.0
+        graph = sample_graph(self.PARAMS, Region(4.0, 4.0), seed=0)
+        t1, t2, tc, _, _ = _connectivity_estimate(graph, spreading_rates(ThreatModel(delta=1.0)))
+        assert t1 == t2 == tc == 0.0
 
     def test_connectivity_estimates_track_mean_field(self):
-        params = NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)
-        config = SimConfig(burn_in=800, measure_steps=400, replications=5, seed=1)
-        est = estimate_dissemination(params, ThreatModel(delta=0.0), config,
-                                     Region(8.0, 8.0), run_epidemics=True)
+        rates = spreading_rates(ThreatModel(delta=0.0))
+        seeds = [int(s.generate_state(1)[0]) for s in np.random.SeedSequence(1).spawn(5)]
+        t1, t2, tc = np.mean([
+            _connectivity_estimate(sample_graph(self.PARAMS, Region(8.0, 8.0), seed), rates)[:3]
+            for seed in seeds], axis=0)
         # Closed-form targets implied by the analytic mean degrees.
-        t1_target = max(0.0, 1 - 1 / params.mean_k1())
-        t2_target = max(0.0, 1 - 1 / params.mean_k2())
-        tc_target = max(0.0, 1 - 1 / params.mean_kc())
-        assert est.t1 == pytest.approx(t1_target, abs=0.05)
-        assert est.t2 == pytest.approx(t2_target, abs=0.05)
-        assert est.tc == pytest.approx(tc_target, abs=0.05)
-        assert est.aggregate_combined == pytest.approx(tc_target, abs=0.07)
+        assert t1 == pytest.approx(max(0.0, 1 - 1 / self.PARAMS.mean_k1()), abs=0.05)
+        assert t2 == pytest.approx(max(0.0, 1 - 1 / self.PARAMS.mean_k2()), abs=0.05)
+        assert tc == pytest.approx(max(0.0, 1 - 1 / self.PARAMS.mean_kc()), abs=0.05)
