@@ -195,18 +195,16 @@ def sample_graph(params: NetworkParams, region: Region, seed: int) -> MultiplexG
 
 @dataclass
 class EmpiricalDegrees:
-    """Degree histograms and sample means measured on one graph."""
+    """Degree histograms and the mean combined degree of one graph."""
 
     hist1: np.ndarray
     hist2: np.ndarray
     histc: np.ndarray
-    mean1: float
-    mean2: float
     meanc: float
 
 
 def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
-    """Measure per-layer and combined degree statistics over all nodes."""
+    """Measure the degree histograms and the mean combined degree over all nodes."""
     if graph.n == 0:
         raise EmptyGraphError("cannot measure degrees of an empty graph")
     d1 = graph.degree1()
@@ -216,7 +214,5 @@ def empirical_degrees(graph: MultiplexGraph) -> EmpiricalDegrees:
         hist1=np.bincount(d1),
         hist2=np.bincount(d2),
         histc=np.bincount(dc),
-        mean1=float(d1.mean()),
-        mean2=float(d2.mean()),
         meanc=float(dc.mean()),
     )

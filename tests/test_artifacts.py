@@ -8,6 +8,8 @@ them.  Re-record a pin only on purpose, and say which one and why.
 """
 import hashlib
 import json
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -82,3 +84,14 @@ def test_readme_command_artifacts_are_pinned(tmp_path, command):
     got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
            for path in sorted(out.iterdir())}
     assert got == SHA256[command]
+
+
+def test_readme_cli_examples_are_the_pinned_ones():
+    """The README's CLI heredocs and --seed values are README_COMMANDS."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples = re.findall(r"cat > (\S+) <<'EOF'\n(.*?)\nEOF\n"
+                          r"d2dnet (\w+) --config \1(?: --seed (\d+))? --out ", section, re.S)
+    documented = {command: (json.loads(config), int(seed) if seed else None)
+                  for _, config, command, seed in examples}
+    assert documented == README_COMMANDS

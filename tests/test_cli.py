@@ -1,4 +1,5 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
+import copy
 import csv
 import hashlib
 import json
@@ -6,10 +7,13 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_artifacts import README_COMMANDS, SHA256 as ARTIFACT_SHA256
 
@@ -365,3 +369,127 @@ class TestReconfigCommand:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
         assert key in result.output
+
+
+PARAMS = {"p": 0.4, "lambda": 15.0, "r1_m": 1000, "r2_m": 500}
+MISSION = {"t1": 0.6, "t2": 0.6, "tc": 0.8}
+SIM = {"params": PARAMS, "region": {"width": 2, "height": 2},
+       "sim": {"burn_in": 10, "measure_steps": 10, "replications": 2}}
+RECONFIG = {"mission": MISSION, "region": {"width": 10, "height": 10}}
+
+
+class TestStrictConfig:
+    """Config mistakes exit 2, before any work, naming the key path."""
+
+    @pytest.mark.parametrize("command, config, path", [
+        ("design", {"mission": {**MISSION, "bounds": {"pmax": 0.9}}}, "mission.bounds.pmax"),
+        ("design", {"mission": {**MISSION, "weight1": 200}}, "mission.weight1"),
+        ("simulate", {**SIM, "sim": {**SIM["sim"], "replicatons": 3}}, "sim.replicatons"),
+        ("simulate", {**SIM, "sim": {**SIM["sim"], "burn_in": 20.7}}, "sim.burn_in"),
+        ("simulate", {**SIM, "region": {"width": 2, "height": 2, "wrap": "false"}}, "region.wrap"),
+        ("degree", {"params": {**PARAMS, "p": "0.4"}}, "params.p"),
+        ("reconfig", {**RECONFIG, "scenario": [{"time": 50, "kind": "device_loss",
+                                                "loss_fraction_type1": "0.5"}]},
+         "scenario[0].loss_fraction_type1"),
+        ("reconfig", {**RECONFIG, "sim": {"replications": 3}}, "sim"),
+        ("degree", {"params": PARAMS, "validate": {"seeds": 2, "region": True}}, "validate.region"),
+        ("simulate", {**SIM, "region": [1, 2]}, "region"),
+        ("simulate", {**SIM, "threat": "high"}, "threat"),
+        ("equilibrium", {"mean_degrees": 4.0}, "mean_degrees"),
+        ("design", {"mission": MISSION, "sweep": {"variable": "delta", "grid": 0.3}}, "sweep.grid"),
+        ("reconfig", {**RECONFIG, "scenario": {"time": 50, "kind": "device_loss"}}, "scenario"),
+        ("reconfig", {**RECONFIG, "scenario": [{"time": 50, "kind": "threat_change",
+                                                "new_delta": "0.5"}]},
+         "scenario[0].new_delta"),
+        ("simulate", {**SIM, "sim": {**SIM["sim"], "time_step": None}}, "sim.time_step"),
+        ("equilibrium", {"params": PARAMS, "mean_degrees": [4.0]}, "mean_degrees"),
+        ("equilibrium", {"mean_degrees": [4.0], "dual": True}, "dual"),
+        ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "alpha": [0.3, 0.4]},
+         "alpha"),
+    ], ids=["unknown-bounds-key", "unknown-mission-key", "unknown-sim-key", "fractional-burn_in",
+            "string-wrap", "string-p", "string-loss-fraction", "sim-in-reconfig",
+            "validate-region-not-object", "region-list", "threat-string", "mean_degrees-number",
+            "grid-number", "scenario-object", "string-new_delta", "null-time_step",
+            "params-and-mean_degrees", "dual-without-params", "trajectory-two-alphas"])
+    def test_rejected_with_key_path(self, runner, tmp_path, command, config, path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [command, "--config", write_config(tmp_path, config),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert path in result.output
+        assert not out.exists()
+
+    def test_single_alpha_trajectory_with_dual_runs(self, runner, tmp_path):
+        # The benchmark's trajectory op: params, one alpha in a list, dual.
+        config = write_config(tmp_path, {
+            "params": PARAMS, "mode": "trajectory", "alpha": [0.3], "horizon": 5.0,
+            "step": 0.01, "initial_fraction": 0.01, "dual": True})
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["equilibrium", "--config", config, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert (out / "trajectory.csv").exists() and (out / "dual_equilibrium.json").exists()
+
+
+# Keys some command requires (equilibrium's mean_degrees stands in for params).
+REQUIRED_KEYS = {"params", "p", "lambda", "r1_m", "r2_m", "mean_degrees", "mission",
+                 "t1", "t2", "tc", "variable", "grid", "time", "kind"}
+
+
+def locations(value, loc=()):
+    """(location, value) of value and of everything nested in it."""
+    yield loc, value
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for part, child in items:
+        yield from locations(child, loc + (part,))
+
+
+def key_path(loc):
+    path = ""
+    for part in loc:
+        path += f"[{part}]" if isinstance(part, int) else (f".{part}" if path else part)
+    return path
+
+
+def wrong_types(value):
+    """JSON values of another type than value (number or string)."""
+    other = "0.5" if isinstance(value, (int, float)) else 0
+    return [other, True, None, [value], {"v": value}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_mutated_readme_config_is_rejected_before_any_work(data):
+    command = data.draw(st.sampled_from(list(README_COMMANDS)))
+    base, seed = README_COMMANDS[command]
+    config = copy.deepcopy(base)
+    places = list(locations(config))
+    mutation = data.draw(st.sampled_from(["unknown key", "wrong type", "dropped key"]))
+    if mutation == "unknown key":
+        loc, obj = data.draw(st.sampled_from([p for p in places if isinstance(p[1], dict)]))
+        key = "unknown_" + data.draw(st.from_regex(r"[a-z0-9_]{1,8}", fullmatch=True))
+        obj[key] = data.draw(st.sampled_from([0, "x", None, [], {}]))
+        loc += (key,)
+    else:
+        if mutation == "wrong type":
+            targets = [p for p in places if not isinstance(p[1], (dict, list))]
+        else:
+            targets = [p for p in places if p[0] and p[0][-1] in REQUIRED_KEYS]
+        loc, value = data.draw(st.sampled_from(targets))
+        parent = config
+        for part in loc[:-1]:
+            parent = parent[part]
+        if mutation == "wrong type":
+            parent[loc[-1]] = data.draw(st.sampled_from(wrong_types(value)))
+        else:
+            del parent[loc[-1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "config.json", Path(tmp) / "out"
+        path.write_text(json.dumps(config))
+        args = [command, "--config", str(path), "--out", str(out)]
+        if seed is not None:
+            args += ["--seed", str(seed)]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (mutation, config, result.output)
+        assert key_path(loc) in result.output, (mutation, result.output)
+        assert not out.exists() or not any(out.iterdir())
