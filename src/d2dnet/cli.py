@@ -9,8 +9,10 @@ One reader walks a declarative spec per config object (``COMMANDS``) and
 reads the whole config before any work starts.  An unknown key, a value
 of the wrong JSON type, a non-object where an object belongs or a missing
 required key is a config error naming its key path, such as
-``mission.bounds.p_max`` or ``scenario[0].kind``; range rules stay with
-the dataclasses the config builds.
+``mission.bounds.p_max`` or ``scenario[0].kind``.  Range rules stay with
+the dataclasses the config builds and the functions the commands call;
+the reader calls those owners too, so a bad ``alpha``, mean degree, time
+grid or sweep value is a config error before any output is written.
 
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
@@ -40,9 +42,10 @@ from .degree import (
     intra_layer_pmf,
     spreading_rates,
 )
-from .designer import MissionSpec, optimize, sweep
+from .designer import MissionSpec, _swept, optimize, sweep
 from .geometry import Region, empirical_degrees, sample_graph
-from .meanfield import integrate_single, solve_dual, solve_theta, theta_lower_bound
+from .meanfield import (_check_alpha, _check_time_grid, integrate_single, solve_dual,
+                        solve_theta, theta_lower_bound)
 from .montecarlo import SimConfig, simulate_dual, simulate_single
 from .reconfig import ScenarioEvent, _check_loop_settings, run_mission
 
@@ -123,9 +126,9 @@ def _enum(*names: str):
 
 
 def _numbers(value, path):
-    """A list of finite numbers, kept as written: the CSVs echo them."""
-    if type(value) is not list:
-        raise ConfigError(f"{path} must be a list of numbers, got {value!r}")
+    """A nonempty list of finite numbers, kept as written: the CSVs echo them."""
+    if type(value) is not list or not value:
+        raise ConfigError(f"{path} must be a nonempty list of numbers, got {value!r}")
     for i, v in enumerate(value):
         _finite(v, f"{path}[{i}]")
     return value
@@ -186,6 +189,14 @@ def _list_of(spec: _Spec):
     return read
 
 
+def _in_range(path, rule, *values) -> None:
+    """Run a range rule's owner on config values; its ValueError names ``path``."""
+    try:
+        rule(*values)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}")
+
+
 def _mission(delta, gamma, ps1, ps2, psc, **fields) -> MissionSpec:
     return MissionSpec(threat=ThreatModel(delta, gamma, ps1, ps2, psc), **fields)
 
@@ -197,6 +208,20 @@ def _equilibrium(**conf) -> SimpleNamespace:
         raise ConfigError("'dual' needs 'params': the two-message equilibrium uses its layers")
     if conf["mode"] == "trajectory" and len(conf["alpha"]) != 1:
         raise ConfigError(f"'mode': 'trajectory' integrates one 'alpha', got {len(conf['alpha'])}")
+    # The rules of the functions the command calls, checked before any work.
+    for i, a in enumerate(conf["alpha"]):
+        _in_range(f"alpha[{i}]", _check_alpha, a)
+    for i, m in enumerate(conf["mean_degrees"] or []):
+        _in_range(f"mean_degrees[{i}]", theta_lower_bound, 0.0, m)   # owns mean_degree >= 0
+    if conf["mode"] == "trajectory":
+        _check_time_grid(conf["horizon"], conf["step"])
+    return SimpleNamespace(**conf)
+
+
+def _design(**conf) -> SimpleNamespace:
+    if conf["sweep"] is not None:
+        for i, value in enumerate(conf["sweep"].grid):
+            _in_range(f"sweep.grid[{i}]", _swept, conf["mission"], conf["sweep"].variable, value)
     return SimpleNamespace(**conf)
 
 
@@ -247,7 +272,7 @@ COMMANDS = {
         ("region", _REGION, {}), ("sim", _SIM, {}),
         ("mode", _enum("single", "dual", "both"), "single"), _SEED),
     "design": _Spec(
-        SimpleNamespace, ("mission", _MISSION, _REQUIRED),
+        _design, ("mission", _MISSION, _REQUIRED),
         ("sweep", _Spec(SimpleNamespace, ("variable", _enum("delta", "tc", "t_intra"), _REQUIRED),
                         ("grid", _numbers, _REQUIRED)), None),
         _SEED),

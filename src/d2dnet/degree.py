@@ -60,18 +60,13 @@ class NetworkParams:
         """Density of type-I devices."""
         return self.p * self.lam
 
-    @property
-    def lam2(self) -> float:
-        """Density of layer-2 active devices (all devices)."""
-        return self.lam
-
     def mean_k1(self) -> float:
         """Expected layer-1 degree of a typical device: p^2 * lam * pi * r1^2."""
         return self.p * self.lam1 * math.pi * self.r1 ** 2
 
     def mean_k2(self) -> float:
         """Expected layer-2 degree of a typical device: lam * pi * r2^2."""
-        return self.lam2 * math.pi * self.r2 ** 2
+        return self.lam * math.pi * self.r2 ** 2
 
     def mean_kc(self) -> float:
         """Expected combined degree (sum of the per-layer means)."""
@@ -198,7 +193,7 @@ def intra_layer_pmf(params: NetworkParams, layer: int, k_max: int | None = None)
 
     Layer 1 is a mixture: with probability 1-p the device is type II and
     has degree 0; otherwise its degree is Poisson(lam1 * pi * r1^2).
-    Layer 2 is plain Poisson(lam2 * pi * r2^2).
+    Layer 2 is plain Poisson(lam * pi * r2^2): every device has a layer-2 radio.
     """
     _check_k_max(k_max)
     if layer == 1:
@@ -208,7 +203,7 @@ def intra_layer_pmf(params: NetworkParams, layer: int, k_max: int | None = None)
         pmf = params.p * _poisson_pmf(mu, k_max)
         pmf[0] += 1.0 - params.p
     elif layer == 2:
-        mu = params.lam2 * math.pi * params.r2 ** 2
+        mu = params.lam * math.pi * params.r2 ** 2
         if k_max is None:
             k_max = default_k_max(mu)
         pmf = _poisson_pmf(mu, k_max)

@@ -399,7 +399,7 @@ def optimize(mission: MissionSpec) -> DesignSolution:
     return _solution_from_point((p, lam, math.sqrt(a), math.sqrt(b)), mission)
 
 
-def grid_oracle(mission: MissionSpec, n: int = 40, refine: int = 1) -> DesignSolution:
+def grid_oracle(mission: MissionSpec, n: int = 40) -> DesignSolution:
     """Exhaustive box grid search with local refinement; the trusted baseline."""
     b = mission.bounds
     if certify_infeasible(mission) or b.r2_min > b.r1_max:
@@ -410,7 +410,7 @@ def grid_oracle(mission: MissionSpec, n: int = 40, refine: int = 1) -> DesignSol
 
     best_x = None
     best_cost = math.inf
-    for _ in range(refine + 1):
+    for _ in range(2):   # a coarse pass, then one refinement around the incumbent
         axes = [np.linspace(lo[i], hi[i], n) for i in range(4)]
         pp, ll, rr1, rr2 = np.meshgrid(*axes, indexing="ij", sparse=True)
         k1 = pp * pp * ll * math.pi * rr1 * rr1
@@ -452,15 +452,16 @@ def sweep(mission: MissionSpec, variable: str, grid) -> list[SweepRow]:
     variable: "delta" (threat level), "tc" (network-wide threshold) or
     "t_intra" (both intra-layer thresholds together).
     """
-    rows = []
-    for value in grid:
-        if variable == "delta":
-            m = replace(mission, threat=replace(mission.threat, delta=float(value)))
-        elif variable == "tc":
-            m = replace(mission, tc=float(value))
-        elif variable == "t_intra":
-            m = replace(mission, t1=float(value), t2=float(value))
-        else:
-            raise ValueError(f"unknown sweep variable {variable!r}")
-        rows.append(SweepRow(value=float(value), solution=optimize(m)))
-    return rows
+    return [SweepRow(value=float(value), solution=optimize(_swept(mission, variable, value)))
+            for value in grid]
+
+
+def _swept(mission: MissionSpec, variable: str, value: float) -> MissionSpec:
+    """``mission`` at one sweep point; its own checks reject a bad value."""
+    if variable == "delta":
+        return replace(mission, threat=replace(mission.threat, delta=float(value)))
+    if variable == "tc":
+        return replace(mission, tc=float(value))
+    if variable == "t_intra":
+        return replace(mission, t1=float(value), t2=float(value))
+    raise ValueError(f"unknown sweep variable {variable!r}")

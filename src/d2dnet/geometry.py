@@ -3,14 +3,12 @@
 Devices are dropped by a Poisson process on a finite rectangular window
 (torus-wrapped by default so degree statistics are free of boundary
 deficit) and connected per layer by range thresholds.  Each layer is
-kept as the (i < j) pair array of a k-d tree query; degrees come from
-those pairs, and the sorted CSR form is built only when a consumer such
-as the Monte Carlo oracle first asks for it.
+kept only as the (i < j) pair array of a k-d tree query; degrees and
+every other view of the graph are computed from those pairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -53,11 +51,9 @@ class MultiplexGraph:
     i < j, one row per undirected edge, in no particular order (as the
     k-d tree pair query returns them).  Layer 1 connects type-I pairs
     within r1, layer 2 connects all pairs within r2; both are symmetric
-    and irreflexive.  Degrees are counted from the pairs.  The
-    compressed sparse row (CSR) form that the Monte Carlo oracle needs,
-    in which the neighbours of node i are
-    ``indices[indptr[i]:indptr[i + 1]]``, sorted ascending, is built on
-    first access to ``indptr*``/``indices*`` and cached.
+    and irreflexive.  The pairs are the graph's only stored form:
+    degrees are counted from them, and the Monte Carlo oracle builds its
+    counts matrix from them.
     """
 
     positions: np.ndarray          # (n, 2) km
@@ -78,39 +74,15 @@ class MultiplexGraph:
     def n(self) -> int:
         return len(self.types)
 
-    @cached_property
-    def _csr1(self) -> tuple[np.ndarray, np.ndarray]:
-        return _csr(self.n, self.pairs1)
-
-    @cached_property
-    def _csr2(self) -> tuple[np.ndarray, np.ndarray]:
-        return _csr(self.n, self.pairs2)
-
-    @property
-    def indptr1(self) -> np.ndarray:        # (n + 1,)
-        return self._csr1[0]
-
-    @property
-    def indices1(self) -> np.ndarray:       # (2 * edges in layer 1,)
-        return self._csr1[1]
-
-    @property
-    def indptr2(self) -> np.ndarray:
-        return self._csr2[0]
-
-    @property
-    def indices2(self) -> np.ndarray:
-        return self._csr2[1]
-
     @property
     def adj1(self) -> list[np.ndarray]:
-        """Per-node neighbour arrays of layer 1 (views into ``indices1``)."""
-        return _rows(self.indptr1, self.indices1)
+        """Per-node neighbour arrays of layer 1, each sorted ascending."""
+        return _rows(self.n, self.pairs1)
 
     @property
     def adj2(self) -> list[np.ndarray]:
-        """Per-node neighbour arrays of layer 2 (views into ``indices2``)."""
-        return _rows(self.indptr2, self.indices2)
+        """Per-node neighbour arrays of layer 2, each sorted ascending."""
+        return _rows(self.n, self.pairs2)
 
     def degree1(self) -> np.ndarray:
         return np.bincount(self.pairs1.ravel(), minlength=self.n)
@@ -152,17 +124,13 @@ def _pairs_within(
     return tree.query_pairs(radius, output_type="ndarray")
 
 
-def _rows(indptr: np.ndarray, indices: np.ndarray) -> list[np.ndarray]:
-    return np.split(indices, indptr[1:-1]) if len(indptr) > 1 else []
-
-
-def _csr(n: int, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric CSR arrays (indptr, indices) from pairs (i < j), rows sorted."""
-    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).astype(np.int64).T
-    order = np.argsort(src * n + dst)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[order]
+def _rows(n: int, pairs: np.ndarray) -> list[np.ndarray]:
+    """Neighbours of each of n nodes from pairs (i < j), rows sorted."""
+    if n == 0:
+        return []
+    src, dst = np.concatenate([pairs, pairs[:, ::-1]]).T
+    order = np.lexsort((dst, src))
+    return np.split(dst[order], np.cumsum(np.bincount(src, minlength=n))[:-1])
 
 
 def build_rgg(

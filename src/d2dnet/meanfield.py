@@ -69,8 +69,10 @@ def _informed_fractions(alpha: float, theta: float, k_max: int) -> np.ndarray:
 
 def theta_lower_bound(alpha: float, mean_degree: float) -> float:
     """Closed-form Jensen lower bound max(0, 1 - 1/(alpha*E[K]))."""
-    if not (alpha >= 0 and mean_degree >= 0):
-        raise ValueError("alpha and mean_degree must be nonnegative")
+    if not alpha >= 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    if not mean_degree >= 0:
+        raise ValueError(f"mean_degree must be nonnegative, got {mean_degree}")
     if alpha * mean_degree <= 1.0:
         return 0.0
     return 1.0 - 1.0 / (alpha * mean_degree)
@@ -125,14 +127,12 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
 class DualEquilibrium:
     """Equilibrium of two messages spreading on their own layers.
 
-    iu/ui/ii are (k, l)-indexed arrays; ii factorizes exactly into the
-    product of the per-layer informed fractions.
+    ii is the (k, l)-indexed both-informed fraction; it factorizes
+    exactly into the product of the per-layer informed fractions.
     """
 
     theta1: float
     theta2: float
-    iu: np.ndarray
-    ui: np.ndarray
     ii: np.ndarray
     aggregate_ii: float
     aggregate_1: float
@@ -155,14 +155,10 @@ def solve_dual(
     f1 = eq1.informed_by_k
     f2 = eq2.informed_by_k
     ii = np.outer(f1, f2)
-    iu = np.outer(f1, 1.0 - f2)
-    ui = np.outer(1.0 - f1, f2)
     joint = np.outer(np.asarray(pmf1, float), np.asarray(pmf2, float))
     return DualEquilibrium(
         theta1=eq1.theta,
         theta2=eq2.theta,
-        iu=iu,
-        ui=ui,
         ii=ii,
         aggregate_ii=float(np.sum(joint * ii)),
         aggregate_1=eq1.aggregate,

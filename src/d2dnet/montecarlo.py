@@ -22,7 +22,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity
+from scipy.sparse import coo_matrix, csr_matrix
 
 from .geometry import TYPE_I, MultiplexGraph
 
@@ -98,7 +98,7 @@ class _Channel:
     of those words, a lane being one ``lane``-typed counter.
     """
 
-    blocks: csr_matrix       # uint64 kron(adjacency + mark * identity, identity(words))
+    blocks: csr_matrix       # uint64 kron(counts, identity(words))
     words: int               # uint64 words per node, enough for R lanes
     lane: np.dtype           # uint8, uint16, uint32 or uint64
     threshold: np.ndarray    # indexed by a node's lane sum
@@ -106,41 +106,45 @@ class _Channel:
     regenerate: bool
 
 
-def _layer(graph: MultiplexGraph, layer: int) -> csr_matrix:
-    indptr, indices = ((graph.indptr1, graph.indices1) if layer == 1
-                       else (graph.indptr2, graph.indices2))
-    return csr_matrix((np.ones(len(indices), dtype=np.int32), indices, indptr),
-                      shape=(graph.n, graph.n))
+def _counts(n: int, pairs: np.ndarray, mark: int) -> csr_matrix:
+    """Symmetric counts of ``pairs`` (i < j) with ``mark`` on the diagonal.
+
+    A pair listed twice counts 2, as COO duplicates are summed.
+    """
+    nodes = np.arange(n)
+    rows = np.concatenate([pairs[:, 0], pairs[:, 1], nodes])
+    cols = np.concatenate([pairs[:, 1], pairs[:, 0], nodes])
+    data = np.concatenate([np.ones(2 * len(pairs), np.int32), np.full(n, mark, np.int32)])
+    return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _channel(adjacency: csr_matrix, alpha: float, pool: np.ndarray,
+def _channel(n: int, pairs: np.ndarray, alpha: float, pool: np.ndarray,
              config: SimConfig) -> _Channel:
-    """Counts matrix, lane layout and thresholds for ``config.replications``.
+    """Counts matrix, lane layout and thresholds of the n-node ``pairs``.
 
-    ``words`` is sized for the narrowest unsigned lane that holds every
-    index of ``threshold``: uint8 when 2 * mark <= 256, else uint16, else
-    uint32.  A lane sum is at most 2 * mark - 1, so no carry crosses
-    lanes.  The lane is then the widest type that still fits R lanes in
-    those words, so a small R reads a contiguous (n, R) lane view: R = 1
-    gets uint64, R = 2 uint32 and R = 3 or 4 uint16 lanes.
+    Built for ``config.replications``.  ``words`` is sized for the
+    narrowest unsigned lane that holds every index of ``threshold``:
+    uint8 when 2 * mark <= 256, else uint16, else uint32.  A lane sum is
+    at most 2 * mark - 1, so no carry crosses lanes.  The lane is then
+    the widest type that still fits R lanes in those words, so a small R
+    reads a contiguous (n, R) lane view: R = 1 gets uint64, R = 2 uint32
+    and R = 3 or 4 uint16 lanes.
     """
     # A diagonal entry above every row sum makes row i of counts @ X equal
     # m_i + mark * x_i, with m_i the informed-neighbour count: one lookup
     # then gives an uninformed node (1 - p_tx)^m_i, the chance that none
     # of its m_i transmissions gets through, and an informed node p_rec.
     p_tx, p_rec = alpha * config.time_step, config.time_step
-    n = adjacency.shape[0]
-    mark = int(adjacency.sum(axis=1).max()) + 1
+    mark = int(np.bincount(pairs.ravel(), minlength=n).max(initial=0)) + 1
     reps = config.replications
     narrowest = next(np.dtype(t) for t in (np.uint8, np.uint16, np.uint32)
                      if 2 * mark <= np.iinfo(t).max + 1)
     words = -(-reps * narrowest.itemsize // 8)
     lane = next(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8)
                 if reps * np.dtype(t).itemsize <= 8 * words)
-    counts = adjacency + mark * identity(n, dtype=np.int32, format="csr")
     threshold = np.concatenate([(1.0 - p_tx) ** np.arange(mark), np.full(mark, p_rec)])
-    return _Channel(_node_major_blocks(counts, words), words, lane, threshold, pool,
-                    config.quasi_stationary and p_tx > 0.0 and len(pool) > 0)
+    return _Channel(_node_major_blocks(_counts(n, pairs, mark), words), words, lane,
+                    threshold, pool, config.quasi_stationary and p_tx > 0.0 and len(pool) > 0)
 
 
 def _node_major_blocks(counts: csr_matrix, words: int) -> csr_matrix:
@@ -256,8 +260,8 @@ def simulate_single(
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     # A type-I pair within r2 is a neighbour in both layers: its entry of
     # 2 gives it two transmission chances per step.
-    combined = _layer(graph, 1) + _layer(graph, 2)
-    channel = _channel(combined, alpha, np.arange(graph.n), config)
+    combined = np.concatenate([graph.pairs1, graph.pairs2])
+    channel = _channel(graph.n, combined, alpha, np.arange(graph.n), config)
     means, ses, extinctions, regenerations, series = _simulate(graph, [channel], config)
     return SimResult(
         informed_fraction_combined=float(means[0]),
@@ -283,8 +287,8 @@ def simulate_dual(
             raise ValueError(f"alpha must be in [0, 1], got {a}")
     # Message 1 can only ever reach type-I devices (layer-1 edges).
     type1_nodes = np.flatnonzero(graph.types == TYPE_I)
-    channels = [_channel(_layer(graph, 1), alpha1, type1_nodes, config),
-                _channel(_layer(graph, 2), alpha2, np.arange(graph.n), config)]
+    channels = [_channel(graph.n, graph.pairs1, alpha1, type1_nodes, config),
+                _channel(graph.n, graph.pairs2, alpha2, np.arange(graph.n), config)]
     means, ses, extinctions, regenerations, series = _simulate(graph, channels, config)
     return SimResult(
         informed_fraction_1=float(means[0]),

@@ -2,7 +2,10 @@
 
 Each command runs in-process on its README config and seed; the test
 compares the sha256 of every file in the output directory, manifest.json
-included, against the digests recorded below.  Any change to sampling,
+included, against the digests recorded below.  Two more ``simulate``
+runs pin the Monte Carlo oracle beyond the README example: the bench's
+``oracle`` large-graph op (R = 4, uint16 lanes) and a plane-region run
+with R = 2 (uint32 lanes) and a time series.  Any change to sampling,
 the simulator, the solvers, the designer or the output formatting moves
 them.  Re-record a pin only on purpose, and say which one and why.
 """
@@ -69,10 +72,40 @@ SHA256 = {
     },
 }
 
+README_PARAMS = README_COMMANDS["simulate"][0]["params"]
+# simulate configs and seeds beyond the README example.
+ORACLE_RUNS = {
+    # bench/workloads.py SIM_LARGE, the oracle workload's large graph.
+    "simulate_large": ({
+        "params": README_PARAMS,
+        "threat": {"delta": 0.5},
+        "region": {"width": 14, "height": 14},
+        "mode": "both",
+        "sim": {"replications": 4, "burn_in": 300, "measure_steps": 300},
+    }, 11),
+    "simulate_plane": ({
+        "params": README_PARAMS,
+        "region": {"width": 5, "height": 4, "wrap": False},
+        "mode": "both",
+        "sim": {"replications": 2, "burn_in": 40, "measure_steps": 60, "timeseries": True},
+    }, 3),
+}
 
-@pytest.mark.parametrize("command", list(README_COMMANDS))
-def test_readme_command_artifacts_are_pinned(tmp_path, command):
-    config, seed = README_COMMANDS[command]
+ORACLE_SHA256 = {
+    "simulate_large": {
+        "manifest.json": "fdfe40a602d8557e091b751d9b079cc38172764e9bd761ecddf2eb0d57cafefd",
+        "simulate.csv": "c366daf113f2f89e2c4370d828364c7256f3870ac7df3b4a5282967b648eed6c",
+    },
+    "simulate_plane": {
+        "manifest.json": "d8d576d76378ddba2a5be8775b0ea3d11f0335f4127909732ea18dc1c8ddbc14",
+        "simulate.csv": "a19bc0ed10a2c3ce1220751dfd53eee313a82fbcdb1ad316e042d09f15ef2506",
+        "timeseries.csv": "79d7bb78b9ce68a0ac25cf9b6b710094c85a5d16dc9a86f8f14c0b960acde1ac",
+    },
+}
+
+
+def _digests(tmp_path, command, config, seed):
+    """sha256 of every file ``command`` writes for ``config`` and ``seed``."""
     out = tmp_path / "out"
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -81,9 +114,18 @@ def test_readme_command_artifacts_are_pinned(tmp_path, command):
         args += ["--seed", str(seed)]
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
-    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-           for path in sorted(out.iterdir())}
-    assert got == SHA256[command]
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("command", list(README_COMMANDS))
+def test_readme_command_artifacts_are_pinned(tmp_path, command):
+    assert _digests(tmp_path, command, *README_COMMANDS[command]) == SHA256[command]
+
+
+@pytest.mark.parametrize("run", list(ORACLE_RUNS))
+def test_oracle_artifacts_are_pinned(tmp_path, run):
+    assert _digests(tmp_path, "simulate", *ORACLE_RUNS[run]) == ORACLE_SHA256[run]
 
 
 def test_readme_cli_examples_are_the_pinned_ones():

@@ -406,11 +406,27 @@ class TestStrictConfig:
         ("equilibrium", {"mean_degrees": [4.0], "dual": True}, "dual"),
         ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "alpha": [0.3, 0.4]},
          "alpha"),
+        # Range rules of the functions a command calls, checked before any work.
+        ("equilibrium", {"mean_degrees": []}, "mean_degrees"),
+        ("equilibrium", {"mean_degrees": [], "mode": "trajectory"}, "mean_degrees"),
+        ("equilibrium", {"mean_degrees": [4.0], "alpha": []}, "alpha"),
+        ("design", {"mission": MISSION, "sweep": {"variable": "delta", "grid": []}}, "sweep.grid"),
+        ("equilibrium", {"mean_degrees": [4.0], "alpha": [0.3, 1.5]}, "alpha[1]"),
+        ("equilibrium", {"mean_degrees": [4.0, -4.0]}, "mean_degrees[1]"),
+        ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "step": 0}, "step"),
+        ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "horizon": -3}, "horizon"),
+        ("design", {"mission": MISSION, "sweep": {"variable": "delta", "grid": [0.2, 1.5]}},
+         "sweep.grid[1]"),
+        ("design", {"mission": MISSION, "sweep": {"variable": "tc", "grid": [1.0]}},
+         "sweep.grid[0]"),
     ], ids=["unknown-bounds-key", "unknown-mission-key", "unknown-sim-key", "fractional-burn_in",
             "string-wrap", "string-p", "string-loss-fraction", "sim-in-reconfig",
             "validate-region-not-object", "region-list", "threat-string", "mean_degrees-number",
             "grid-number", "scenario-object", "string-new_delta", "null-time_step",
-            "params-and-mean_degrees", "dual-without-params", "trajectory-two-alphas"])
+            "params-and-mean_degrees", "dual-without-params", "trajectory-two-alphas",
+            "empty-mean_degrees", "empty-mean_degrees-trajectory", "empty-alpha", "empty-grid",
+            "alpha-above-1", "negative-mean-degree", "zero-step", "negative-horizon",
+            "delta-grid-out-of-range", "tc-grid-out-of-range"])
     def test_rejected_with_key_path(self, runner, tmp_path, command, config, path):
         out = tmp_path / "out"
         result = runner.invoke(main, [command, "--config", write_config(tmp_path, config),

@@ -5,11 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from d2dnet import (NetworkParams, Region, ThreatModel, build_rgg, empirical_degrees,
-                    sample_graph, sample_ppp, spreading_rates)
-from d2dnet import geometry
+from d2dnet import NetworkParams, Region, build_rgg, empirical_degrees, sample_graph, sample_ppp
 from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph
-from d2dnet.reconfig import _connectivity_estimate
 
 
 PARAMS = NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5)
@@ -109,10 +106,9 @@ class TestBuildRgg:
         graph = build_rgg(positions, types, params, region)
         ref1, ref2 = reference_pairs(positions, types, params, region)
         assert ref1 and ref2
-        for adj, indptr, degree, ref in ((graph.adj1, graph.indptr1, graph.degree1(), ref1),
-                                         (graph.adj2, graph.indptr2, graph.degree2(), ref2)):
+        for adj, degree, ref in ((graph.adj1, graph.degree1(), ref1),
+                                 (graph.adj2, graph.degree2(), ref2)):
             assert len(adj) == graph.n
-            assert np.array_equal(degree, np.diff(indptr))
             assert np.array_equal(degree, [len(row) for row in adj])
             arcs = set()
             for i, row in enumerate(adj):
@@ -130,7 +126,6 @@ class TestBuildRgg:
         assert graph.n <= 5
         assert len(graph.degree1()) == len(graph.degree2()) == graph.n
         assert len(graph.adj1) == len(graph.adj2) == graph.n
-        assert len(graph.indptr1) == len(graph.indptr2) == graph.n + 1
         assert sorted_pairs(graph.pairs2).tolist() == reference_pairs(
             graph.positions, graph.types, PARAMS, region)[1]
 
@@ -140,6 +135,7 @@ class TestBuildRgg:
                           PARAMS, REGION)
         for degree in (graph.degree1(), graph.degree2()):
             assert np.array_equal(degree, np.zeros(n))
+        assert len(graph.adj1) == len(graph.adj2) == n
 
     @pytest.mark.parametrize("pairs", [
         np.array([0, 1]), np.array([[1, 0]]), np.array([[0, 0]]),
@@ -150,34 +146,6 @@ class TestBuildRgg:
             MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), empty, pairs, REGION)
         with pytest.raises(ValueError):
             MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), pairs, empty, REGION)
-
-
-class TestLazyCsr:
-    @pytest.fixture
-    def csr_calls(self, monkeypatch):
-        calls, csr = [], geometry._csr
-
-        def counting_csr(n, pairs):
-            calls.append(len(pairs))
-            return csr(n, pairs)
-
-        monkeypatch.setattr(geometry, "_csr", counting_csr)
-        return calls
-
-    def test_degree_readers_never_build_csr(self, csr_calls):
-        graph = sample_graph(PARAMS, REGION, seed=5)
-        empirical_degrees(graph)
-        _connectivity_estimate(graph, spreading_rates(ThreatModel(delta=0.0)))
-        assert csr_calls == []
-
-    def test_csr_built_once_per_layer_on_first_access(self, csr_calls):
-        graph = sample_graph(PARAMS, Region(3.0, 3.0), seed=5)
-        indptr1 = graph.indptr1
-        assert csr_calls == [len(graph.pairs1)]
-        graph.indices1, graph.adj1
-        assert graph.indptr1 is indptr1 and len(csr_calls) == 1
-        graph.adj2, graph.indices2, graph.indptr2
-        assert csr_calls == [len(graph.pairs1), len(graph.pairs2)]
 
 
 class TestEmpiricalDegrees:

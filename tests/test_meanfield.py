@@ -163,8 +163,6 @@ class TestSolveDual:
         f1 = 0.4 * k * eq.theta1 / (1 + 0.4 * k * eq.theta1)
         f2 = 0.6 * ell * eq.theta2 / (1 + 0.6 * ell * eq.theta2)
         assert np.allclose(eq.ii, np.outer(f1, f2), atol=1e-12)
-        assert np.allclose(eq.iu, np.outer(f1, 1 - f2), atol=1e-12)
-        assert np.allclose(eq.ui, np.outer(1 - f1, f2), atol=1e-12)
 
 
 class TestIntegrateSingle:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.sparse import identity, kron
+from scipy.sparse import csr_matrix, identity, kron
 
 from d2dnet import (
     NetworkParams,
@@ -17,7 +17,7 @@ from d2dnet import (
     spreading_rates,
 )
 from d2dnet.geometry import TYPE_I, TYPE_II, MultiplexGraph
-from d2dnet.montecarlo import _channel, _layer, _step
+from d2dnet.montecarlo import _channel, _step
 from d2dnet.reconfig import _connectivity_estimate
 
 
@@ -61,11 +61,16 @@ class TestPackedStep:
 
     @staticmethod
     def assert_matches_unpacked(graph, reps, seed):
-        adjacency = _layer(graph, 1) + _layer(graph, 2)
-        channel = _channel(adjacency, 0.45, np.arange(graph.n), SimConfig(replications=reps))
-        mark = int(adjacency.sum(axis=1).max()) + 1
-        counts = adjacency + mark * identity(graph.n, dtype=np.int32, format="csr")
-        blocks = kron(counts, identity(channel.words, dtype=np.int32), format="csr")
+        pairs = np.concatenate([graph.pairs1, graph.pairs2])
+        channel = _channel(graph.n, pairs, 0.45, np.arange(graph.n),
+                           SimConfig(replications=reps))
+        # The reference counts come from a dense matrix, not from _counts.
+        counts = np.zeros((graph.n, graph.n), dtype=np.int64)
+        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
+        np.add.at(counts, (pairs[:, 1], pairs[:, 0]), 1)
+        mark = int(counts.sum(axis=1).max()) + 1
+        counts += mark * np.eye(graph.n, dtype=np.int64)
+        blocks = kron(csr_matrix(counts), identity(channel.words, dtype=np.int64), format="csr")
         assert channel.blocks.dtype == np.uint64
         assert (channel.blocks != blocks).nnz == 0
         rng = np.random.default_rng(seed)
@@ -109,8 +114,8 @@ class TestStepLaw:
             np.array([[0, 1]]), np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
             Region(1.0, 1.0))
         alpha, h, reps = 0.5, 0.3, 20_000
-        channel = _channel(_layer(graph, 1) + _layer(graph, 2), alpha, np.arange(4),
-                           SimConfig(time_step=h, replications=reps))
+        channel = _channel(4, np.concatenate([graph.pairs1, graph.pairs2]), alpha,
+                           np.arange(4), SimConfig(time_step=h, replications=reps))
         informed = np.zeros((4, reps), dtype=bool)
         informed[[0, 2]] = True
         freq = _step(informed, channel, np.random.default_rng(1)).mean(axis=1)
@@ -138,7 +143,7 @@ class TestGoldenValues:
 
     def test_graph(self):
         graph = sample_graph(*self.GRAPH)
-        assert (graph.n, len(graph.indices1) // 2, len(graph.indices2) // 2) == (213, 1108, 1248)
+        assert (graph.n, len(graph.pairs1), len(graph.pairs2)) == (213, 1108, 1248)
 
     # R = 1 steps on a single uint64 lane per node, R = 3 on uint16 lanes.
     def test_simulate_single(self):
