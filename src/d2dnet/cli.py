@@ -14,6 +14,11 @@ the dataclasses the config builds and the functions the commands call;
 the reader calls those owners too, so a bad ``alpha``, mean degree, time
 grid or sweep value is a config error before any output is written.
 
+Two commands use a second CPU when the process's affinity allows one:
+``degree`` samples its validation graphs on a thread pool, and
+``simulate`` in mode ``both`` runs the single-message oracle in a forked
+worker beside the two-message one.  Neither changes a byte of output.
+
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
 from __future__ import annotations
@@ -23,6 +28,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -44,8 +50,8 @@ from .degree import (
 )
 from .designer import MissionSpec, _swept, optimize, sweep
 from .geometry import Region, empirical_degrees, sample_graph
-from .meanfield import (_check_alpha, _check_time_grid, integrate_single, solve_dual,
-                        solve_theta, theta_lower_bound)
+from .meanfield import (_check_alpha, _check_fraction, _check_time_grid, integrate_single,
+                        solve_dual, solve_theta, theta_lower_bound)
 from .montecarlo import SimConfig, simulate_dual, simulate_single
 from .reconfig import ScenarioEvent, _check_loop_settings, run_mission
 
@@ -85,6 +91,57 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+def _send_outcome(sender, fn, args) -> None:
+    """Child side of _forked: send ``(True, fn(*args))`` or ``(False, exception)``."""
+    try:
+        outcome = (True, fn(*args))
+    except BaseException as exc:   # re-raised in the parent, which owns the exit code
+        outcome = (False, exc)
+    sender.send(outcome)
+
+
+@contextmanager
+def _forked(fn, *args):
+    """Run ``fn(*args)`` in a forked child while the body runs; yield its receiver.
+
+    Fork hands the child ``fn`` and its arguments as they stand (patched or
+    traced functions included), so nothing is pickled on the way in; only
+    the outcome crosses the pipe.  The receiver returns the child's result,
+    re-raises its exception, or raises RuntimeError if the child died
+    without one.  A failing body kills the child; it is joined on every path.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_outcome, args=(sender, fn, args))
+    try:
+        child.start()
+        sender.close()   # so a child that dies leaves the receiver at EOF
+
+        def receive():
+            try:
+                ok, value = receiver.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the {fn.__name__} worker exited with code "
+                                   f"{child.exitcode} before returning a result") from None
+            if not ok:
+                raise value
+            return value
+
+        yield receive
+    except BaseException:
+        if child.is_alive():
+            child.kill()
+        raise
+    finally:
+        receiver.close()
+        sender.close()
+        if child.pid is not None:
+            child.join()
 
 
 # Config kinds.  Each reads the value at a key path and returns it, converted,
@@ -214,6 +271,7 @@ def _equilibrium(**conf) -> SimpleNamespace:
     for i, m in enumerate(conf["mean_degrees"] or []):
         _in_range(f"mean_degrees[{i}]", theta_lower_bound, 0.0, m)   # owns mean_degree >= 0
     if conf["mode"] == "trajectory":
+        _check_fraction(conf["initial_fraction"])
         _check_time_grid(conf["horizon"], conf["step"])
     return SimpleNamespace(**conf)
 
@@ -449,36 +507,49 @@ def equilibrium(conf, seed, out_dir):
 
 @_command
 def simulate(conf, seed, out_dir):
-    """Stochastic spreading on sampled graphs, with mean-field comparison."""
+    """Stochastic spreading on sampled graphs, with mean-field comparison.
+
+    In mode both, with two or more usable CPUs, the single-message run goes
+    to a forked worker beside the two-message one; the bytes are the same.
+    """
     params, mode = conf.params, conf.mode
     sim = replace(conf.sim, seed=seed)
     rates = spreading_rates(conf.threat)
     graph = sample_graph(params, conf.region, seed)
+    single = dual = None
+    if mode == "both" and _usable_cpus() >= 2:
+        # The dual is the longer job, so it stays in this process.
+        with _forked(simulate_single, graph, rates.alphac, sim) as receive:
+            dual = simulate_dual(graph, rates.alpha1, rates.alpha2, sim)
+            single = receive()
+    else:
+        if mode in ("single", "both"):
+            single = simulate_single(graph, rates.alphac, sim)
+        if mode in ("dual", "both"):
+            dual = simulate_dual(graph, rates.alpha1, rates.alpha2, sim)
     rows = []
     series = []
-    if mode in ("single", "both"):
-        res = simulate_single(graph, rates.alphac, sim)
+    if single is not None:
         mf = solve_theta(combined_pmf(params), rates.alphac).aggregate
-        rows.append(("combined", res.informed_fraction_combined,
-                     res.se_combined, mf,
-                     abs(res.informed_fraction_combined - mf),
-                     res.extinctions))
-        if res.timeseries is not None:
-            series.append(("combined", res.timeseries[:, :, 0]))
-    if mode in ("dual", "both"):
-        res = simulate_dual(graph, rates.alpha1, rates.alpha2, sim)
-        dual = solve_dual(intra_layer_pmf(params, 1), intra_layer_pmf(params, 2),
-                          rates.alpha1, rates.alpha2)
+        rows.append(("combined", single.informed_fraction_combined,
+                     single.se_combined, mf,
+                     abs(single.informed_fraction_combined - mf),
+                     single.extinctions))
+        if single.timeseries is not None:
+            series.append(("combined", single.timeseries[:, :, 0]))
+    if dual is not None:
+        eq = solve_dual(intra_layer_pmf(params, 1), intra_layer_pmf(params, 2),
+                        rates.alpha1, rates.alpha2)
         for name, got, se, mf in (
-            ("message1", res.informed_fraction_1, res.se_1, dual.aggregate_1),
-            ("message2", res.informed_fraction_2, res.se_2, dual.aggregate_2),
-            ("both", res.informed_fraction_both, res.se_both, dual.aggregate_ii),
+            ("message1", dual.informed_fraction_1, dual.se_1, eq.aggregate_1),
+            ("message2", dual.informed_fraction_2, dual.se_2, eq.aggregate_2),
+            ("both", dual.informed_fraction_both, dual.se_both, eq.aggregate_ii),
         ):
-            rows.append((name, got, se, mf, abs(got - mf), res.extinctions))
-        if res.timeseries is not None:
-            series.append(("message1", res.timeseries[:, :, 0]))
-            series.append(("message2", res.timeseries[:, :, 1]))
-            series.append(("both", res.timeseries[:, :, 2]))
+            rows.append((name, got, se, mf, abs(got - mf), dual.extinctions))
+        if dual.timeseries is not None:
+            series.append(("message1", dual.timeseries[:, :, 0]))
+            series.append(("message2", dual.timeseries[:, :, 1]))
+            series.append(("both", dual.timeseries[:, :, 2]))
     _write_csv(out_dir / "simulate.csv",
                ["quantity", "informed_fraction", "standard_error",
                 "mean_field", "gap", "extinctions"],

@@ -191,6 +191,11 @@ class DualTrajectory:
 _STATE_SLACK = 1e-6
 
 
+def _check_fraction(initial_fraction: float) -> None:
+    if not 0.0 <= initial_fraction <= 1.0:
+        raise ValueError(f"initial_fraction must be in [0, 1], got {initial_fraction}")
+
+
 def _check_time_grid(horizon: float, step: float) -> None:
     if not 0.0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
@@ -211,8 +216,7 @@ def integrate_single(
     edge-weighted informed fraction.  The equilibrium of the scheme
     coincides with the exact fixed point.  The pmf need not sum to 1.
     """
-    if not 0.0 <= initial_fraction <= 1.0:
-        raise ValueError("initial_fraction must be in [0, 1]")
+    _check_fraction(initial_fraction)
     _check_alpha(alpha)
     _check_time_grid(horizon, step)
     pmf = _check_pmf(pmf)

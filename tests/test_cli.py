@@ -4,10 +4,12 @@ import csv
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_artifacts import README_COMMANDS, SHA256 as ARTIFACT_SHA256
+from test_artifacts import (ORACLE_RUNS, ORACLE_SHA256, README_COMMANDS,
+                            SHA256 as ARTIFACT_SHA256, _digests)
 
 from d2dnet import cli
 from d2dnet.cli import main
@@ -37,14 +40,19 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
-    # Start-up cost: nothing uses scipy.stats, and scipy.optimize loads
-    # on the first Theta solve.
-    script = ("import sys, d2dnet.cli\n"
-              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))\n")
+def src_env():
+    """The environment for a child interpreter that imports this tree's d2dnet."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    # Start-up cost: nothing uses scipy.stats, scipy.optimize loads on the
+    # first Theta solve and multiprocessing on simulate's first worker.
+    script = ("import sys, d2dnet.cli\n"
+              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'multiprocessing')"
+              " if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", script], env=src_env(),
                           capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
 
@@ -267,6 +275,75 @@ class TestSimulateCommand:
         assert int(rows[0]["extinctions"]) == 3
 
 
+class TestSimulateWorker:
+    """Mode both runs the single-message oracle in a forked worker when two
+    CPUs are usable; the bytes and the failures match the in-process path."""
+
+    CONFIG = {**TestSimulateCommand.CONFIG, "mode": "both"}
+    PINNED = {"simulate": (README_COMMANDS["simulate"], ARTIFACT_SHA256["simulate"]),
+              **{run: (ORACLE_RUNS[run], ORACLE_SHA256[run]) for run in ORACLE_RUNS}}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_bytes_are_pinned_for_any_cpu_count(self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        for name, ((config, seed), sha256) in self.PINNED.items():
+            (tmp_path / name).mkdir()
+            assert _digests(tmp_path / name, "simulate", config, seed) == sha256, name
+
+    def invoke(self, runner, tmp_path, monkeypatch, **patches):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        for name, fn in patches.items():
+            monkeypatch.setattr(cli, name, fn)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, self.CONFIG),
+                                      "--out", str(out)])
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+        return result
+
+    def test_worker_exception_is_reraised(self, runner, tmp_path, monkeypatch):
+        def boom(*args):
+            raise ValueError("boom")
+
+        result = self.invoke(runner, tmp_path, monkeypatch, simulate_single=boom)
+        assert result.exit_code == 1
+        assert "error: boom" in result.output
+
+    def test_worker_that_dies_is_runtime_error(self, tmp_path):
+        # A subprocess, so that a hang fails on the timeout.
+        script = (
+            "import multiprocessing, os, sys\n"
+            "from d2dnet import cli\n"
+            "cli._usable_cpus = lambda: 2\n"
+            "cli.simulate_single = lambda *args: os._exit(3)\n"
+            "try:\n"
+            "    cli.main.main(args=sys.argv[1:], standalone_mode=False)\n"
+            "except SystemExit as exc:\n"
+            "    print(multiprocessing.active_children())\n"
+            "    sys.exit(exc.code)\n")
+        out = tmp_path / "out"
+        done = subprocess.run([sys.executable, "-c", script, "simulate", "--config",
+                               write_config(tmp_path, self.CONFIG), "--out", str(out)],
+                              env=src_env(), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert "worker exited with code 3 before returning a result" in done.stderr
+        assert done.stdout.strip() == "[]"
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()],
+                             ids=["ValueError", "KeyboardInterrupt"])
+    def test_parent_failure_kills_the_worker(self, runner, tmp_path, monkeypatch, error):
+        def fail(*args):
+            raise error
+
+        start = time.perf_counter()
+        result = self.invoke(runner, tmp_path, monkeypatch,
+                             simulate_single=lambda *args: time.sleep(60),
+                             simulate_dual=fail)
+        assert time.perf_counter() - start < 30   # killed, not waited for
+        assert result.exit_code == 1
+
+
 class TestDesignCommand:
     def test_intelligence_mission_solution(self, runner, tmp_path):
         config = write_config(tmp_path, {
@@ -415,6 +492,10 @@ class TestStrictConfig:
         ("equilibrium", {"mean_degrees": [4.0, -4.0]}, "mean_degrees[1]"),
         ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "step": 0}, "step"),
         ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "horizon": -3}, "horizon"),
+        ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "initial_fraction": 1.5},
+         "initial_fraction"),
+        ("equilibrium", {"mean_degrees": [4.0], "mode": "trajectory", "initial_fraction": -0.1},
+         "initial_fraction"),
         ("design", {"mission": MISSION, "sweep": {"variable": "delta", "grid": [0.2, 1.5]}},
          "sweep.grid[1]"),
         ("design", {"mission": MISSION, "sweep": {"variable": "tc", "grid": [1.0]}},
@@ -426,6 +507,7 @@ class TestStrictConfig:
             "params-and-mean_degrees", "dual-without-params", "trajectory-two-alphas",
             "empty-mean_degrees", "empty-mean_degrees-trajectory", "empty-alpha", "empty-grid",
             "alpha-above-1", "negative-mean-degree", "zero-step", "negative-horizon",
+            "initial_fraction-above-1", "negative-initial_fraction",
             "delta-grid-out-of-range", "tc-grid-out-of-range"])
     def test_rejected_with_key_path(self, runner, tmp_path, command, config, path):
         out = tmp_path / "out"
