@@ -8,7 +8,9 @@ fixed point
 
 which has the trivial root 0 and, for a >= E[K]/E[K^2], a unique
 positive root.  The positive root is found by bracketed root finding on
-the (monotone) stationarity equation.
+the (monotone) stationarity equation, with `_brent`: a line-for-line
+port of scipy's C ``brentq`` that reproduces its iterates, and so its
+Theta, bit for bit without importing ``scipy.optimize``.
 
 Two messages spread independently, each on its own layer, so both the
 two-message equilibrium and its transient are two single-layer solves:
@@ -49,10 +51,12 @@ class SingleEquilibrium:
 _RESIDUAL_TOL = 1e-10
 
 
-def _check_pmf(pmf) -> np.ndarray:
+def _check_pmf(pmf, name: str = "pmf", ndim: int = 1) -> np.ndarray:
     pmf = np.asarray(pmf, dtype=float)
+    if pmf.ndim != ndim or pmf.size == 0:
+        raise ValueError(f"{name} must be a nonempty {ndim}-D array, got shape {pmf.shape}")
     if not (np.isfinite(pmf) & (pmf >= 0.0)).all():
-        raise ValueError("pmf entries must be finite and nonnegative")
+        raise ValueError(f"{name} entries must be finite and nonnegative")
     return pmf
 
 
@@ -65,6 +69,75 @@ def _informed_fractions(alpha: float, theta: float, k_max: int) -> np.ndarray:
     k = np.arange(k_max + 1, dtype=float)
     akt = alpha * k * theta
     return akt / (1.0 + akt)
+
+
+def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Root of f bracketed by [xa, xb], by Brent's method.
+
+    A line-for-line port of scipy's C ``brentq`` (Brent 1973, ch. 4):
+    the same iterates, the same interpolate / extrapolate / bisect
+    choice and the same stop test |half bracket| < (xtol + rtol*|x|)/2,
+    with the operations in the same order, so the root is bit-identical
+    to ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
+    maxiter=maxiter)``.  Like it, this raises ValueError on a NaN value
+    or a bracket whose ends have the same sign; an exhausted maxiter
+    raises ConvergenceError in place of scipy's RuntimeError.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN; the root find cannot continue")
+        return fx
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(xa) and f(xb) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise ConvergenceError(
+        f"no root within {maxiter} iterations; last x {xcur!r}", abs(fcur)
+    )
 
 
 def theta_lower_bound(alpha: float, mean_degree: float) -> float:
@@ -84,7 +157,8 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     Below the bifurcation threshold E[K]/E[K^2] the only equilibrium is
     zero; above it the unique positive root is bracketed in (0, 1].  The
     zero-vs-positive branch is decided from the pmf moments, never from
-    iteration behaviour.
+    iteration behaviour.  The root comes from `_brent`, a port of scipy's
+    ``brentq`` that gives the same Theta bit for bit.
     """
     _check_alpha(alpha)
     pmf = _check_pmf(pmf)
@@ -107,9 +181,7 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     if stationarity(1.0) >= 0.0:
         theta = 1.0
     else:
-        from scipy.optimize import brentq   # here, to keep scipy.optimize out of start-up
-
-        theta = brentq(stationarity, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        theta = _brent(stationarity, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     informed = _informed_fractions(alpha, theta, k_max)
     residual = abs(theta - float(kp @ informed) / mean)
     if residual > _RESIDUAL_TOL:
@@ -257,7 +329,7 @@ def integrate_dual(
     by the joint, so an empirical joint (instead of a product of
     marginals) changes the aggregate but not the per-layer transients.
     """
-    joint = _check_pmf(joint_pmf)
+    joint = _check_pmf(joint_pmf, "joint_pmf", ndim=2)
     layer1 = integrate_single(joint.sum(1), alpha1, initial_fraction, horizon, step)
     layer2 = integrate_single(joint.sum(0), alpha2, initial_fraction, horizon, step)
     aggregate = np.einsum("tk,kl,tl->t", layer1.states, joint, layer2.states, optimize=True)

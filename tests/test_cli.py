@@ -46,15 +46,29 @@ def src_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_import_leaves_out_scipy_stats_and_optimize():
-    # Start-up cost: nothing uses scipy.stats, scipy.optimize loads on the
-    # first Theta solve and multiprocessing on simulate's first worker.
-    script = ("import sys, d2dnet.cli\n"
-              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'multiprocessing')"
-              " if m in sys.modules))\n")
-    done = subprocess.run([sys.executable, "-c", script], env=src_env(),
+def test_import_leaves_out_scipy_stats_and_optimize(tmp_path):
+    # Start-up cost: nothing uses scipy.stats, the Theta solves load no
+    # scipy.optimize and multiprocessing loads on simulate's first worker.
+    trajectory = {"params": README_COMMANDS["simulate"][0]["params"], "mode": "trajectory",
+                  "alpha": [0.3], "dual": True}
+    runs = [["equilibrium", "--config", write_config(tmp_path, config, f"{name}.json"),
+             "--out", str(tmp_path / name)]
+            for name, config in (("table", README_COMMANDS["equilibrium"][0]),
+                                 ("trajectory", trajectory))]
+    script = ("import json, sys\n"
+              "from d2dnet.cli import main\n"
+              "def loaded():\n"
+              "    print(sorted(m for m in ('scipy.stats', 'scipy.optimize', 'multiprocessing')"
+              " if m in sys.modules))\n"
+              "loaded()\n"
+              "for args in json.loads(sys.argv[1]):\n"
+              "    main(args, standalone_mode=False)\n"
+              "loaded()\n")
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=src_env(),
                           capture_output=True, text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split() == ["[]", "[]"]
+    assert (tmp_path / "table" / "equilibrium.csv").exists()
+    assert (tmp_path / "trajectory" / "dual_equilibrium.json").exists()
 
 
 class TestConfigHandling:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from d2dnet import (
     integrate_dual,
@@ -13,7 +14,8 @@ from d2dnet import (
     solve_theta,
     theta_lower_bound,
 )
-from d2dnet.degree import pmf_moments
+from d2dnet.degree import NetworkParams, combined_pmf, intra_layer_pmf, pmf_moments
+from d2dnet.meanfield import ConvergenceError, _brent
 
 
 def poisson_pmf(mean, k_max=None):
@@ -73,6 +75,106 @@ def joint_euler(joint, alpha1, alpha2, q, horizon, step):
         yield iu, ui, ii
 
 
+def stationarity(pmf, alpha):
+    """solve_theta's stationarity function, the same expression term for term."""
+    mean, _ = pmf_moments(pmf)
+    k = np.arange(len(pmf), dtype=float)
+    kp = k * pmf
+    return lambda theta: float(np.sum(kp * k * alpha / (1.0 + alpha * k * theta))) / mean - 1.0
+
+
+# The README deployment (degree and simulate examples), ranges in km.
+README_NETWORKS = [NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5),
+                   NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)]
+
+
+class TestBrent:
+    """_brent against scipy.optimize.brentq, compared bit for bit."""
+
+    THETA_TOL = {"xtol": 1e-15, "rtol": 8.9e-16}   # solve_theta's tolerances
+    TOLS = [(2e-12, 4 * np.finfo(float).eps), (1e-15, 8.9e-16), (1e-6, 1e-9), (1e-3, 1e-12)]
+
+    @staticmethod
+    def same(f, a, b, **tol):
+        assert _brent(f, a, b, **tol).hex() == brentq(f, a, b, **tol).hex()
+
+    def test_theta_of_poisson_grid(self):
+        bracketed = 0
+        for mean in (1.5, 3.14, 6.28, 12.57, 25.0):
+            pmf = poisson_pmf(mean)
+            for alpha in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0):
+                f = stationarity(pmf, alpha)
+                if not (f(0.0) > 0.0 > f(1.0)):
+                    continue
+                bracketed += 1
+                self.same(f, 0.0, 1.0, **self.THETA_TOL)
+                assert solve_theta(pmf, alpha).theta == brentq(f, 0.0, 1.0, **self.THETA_TOL)
+        assert bracketed >= 30
+
+    @pytest.mark.parametrize("params", README_NETWORKS)
+    def test_theta_of_readme_pmfs(self, params):
+        pmfs = [combined_pmf(params), intra_layer_pmf(params, 1), intra_layer_pmf(params, 2)]
+        for pmf in pmfs:
+            for alpha in (0.1, 0.3, 0.6, 1.0):
+                f = stationarity(pmf, alpha)
+                assert f(0.0) > 0.0 > f(1.0)
+                self.same(f, 0.0, 1.0, **self.THETA_TOL)
+                assert solve_theta(pmf, alpha).theta == brentq(f, 0.0, 1.0, **self.THETA_TOL)
+
+    @pytest.mark.parametrize("xtol, rtol", TOLS)
+    def test_generic_bracketed_functions(self, xtol, rtol):
+        rng = np.random.default_rng(20261019)
+        shapes = [
+            lambda x, r, c: (x - r) * (1.0 + c * x * x),
+            lambda x, r, c: math.tanh(40.0 * c * (x - r)),
+            lambda x, r, c: (x - r) ** 9 + 1e-3 * c * (x - r),
+            lambda x, r, c: math.exp(c * x) - math.exp(c * r),
+            lambda x, r, c: math.sin(x - r) + 0.25 * c * (x - r) ** 3,
+            lambda x, r, c: math.copysign(abs(x - r) ** 0.2, x - r) * c,
+        ]
+        for _ in range(200):
+            r = rng.uniform(-2.0, 2.0)
+            c = rng.uniform(0.1, 3.0)
+            a = r - rng.uniform(1e-3, 1.0)
+            b = r + rng.uniform(1e-3, 1.0)
+            for shape in shapes:
+                f = lambda x: shape(x, r, c)   # noqa: E731
+                self.same(f, a, b, xtol=xtol, rtol=rtol)
+                self.same(f, b, a, xtol=xtol, rtol=rtol)
+
+    def test_root_at_an_end(self):
+        self.same(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-12, rtol=1e-12)
+        self.same(lambda x: x - 1.0, 0.25, 1.0, xtol=1e-12, rtol=1e-12)
+
+    def test_bracket_exactly_at_tolerance_is_not_converged(self):
+        # After the swap x = 0, so |half bracket| = 5e-4 = (xtol + rtol*|x|)/2
+        # exactly: the stop test is strict, so both take one more step.
+        root = _brent(lambda x: x - 2.5e-4, 0.0, 1e-3, xtol=1e-3, rtol=8.9e-16)
+        assert root != 0.0
+        self.same(lambda x: x - 2.5e-4, 0.0, 1e-3, xtol=1e-3, rtol=8.9e-16)
+
+    @pytest.mark.parametrize("f, a, b", [
+        (lambda x: math.nan if x > 0.9 else x - 0.5, 0.0, 1.0),      # NaN at an end
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0),  # NaN mid-search
+        (lambda x: x + 1.0, 0.0, 1.0),                                # same sign
+    ])
+    def test_errors_match_brentq(self, f, a, b):
+        with pytest.raises(ValueError):
+            brentq(f, a, b)
+        with pytest.raises(ValueError):
+            _brent(f, a, b, xtol=2e-12, rtol=8.9e-16)
+
+    def test_exhausted_maxiter(self):
+        def f(x):
+            return x ** 3 - 0.2
+
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 1.0, maxiter=3, **self.THETA_TOL)
+        with pytest.raises(ConvergenceError):
+            _brent(f, 0.0, 1.0, maxiter=3, **self.THETA_TOL)
+        self.same(f, 0.0, 1.0, **self.THETA_TOL)
+
+
 class TestSolveTheta:
     def test_subcritical_rate_gives_zero(self):
         pmf = poisson_pmf(4.0)
@@ -100,6 +202,10 @@ class TestSolveTheta:
     def test_rejects_invalid_pmf(self, pmf):
         with pytest.raises(ValueError):
             solve_theta(np.array(pmf), 0.5)
+
+    def test_rejects_pmf_that_is_not_1d(self):
+        with pytest.raises(ValueError, match="pmf must be a nonempty 1-D array"):
+            solve_theta(np.array([[0.5, 0.5]]), 0.5)
 
     @given(mean=st.floats(1.5, 25.0), alpha=st.floats(0.05, 1.0))
     @settings(max_examples=40, deadline=None)
@@ -200,6 +306,10 @@ class TestIntegrateSingle:
         with pytest.raises(ValueError):
             integrate_single(np.array(pmf), 0.5, 0.1, horizon=10.0)
 
+    def test_rejects_empty_pmf(self):
+        with pytest.raises(ValueError, match="pmf must be a nonempty 1-D array"):
+            integrate_single(np.array([]), 0.5, 0.1, horizon=1.0)
+
     @pytest.mark.parametrize("horizon", [-1.0, -1e-9])
     def test_rejects_negative_horizon(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
@@ -274,3 +384,7 @@ class TestIntegrateDual:
         joint[3, 4] = entry
         with pytest.raises(ValueError):
             integrate_dual(joint, 0.5, 0.5, initial_fraction=0.1, horizon=5.0)
+
+    def test_rejects_joint_that_is_not_2d(self):
+        with pytest.raises(ValueError, match="joint_pmf must be a nonempty 2-D array"):
+            integrate_dual(poisson_pmf(4.0, 20), 0.5, 0.5, initial_fraction=0.1, horizon=5.0)
