@@ -5,6 +5,11 @@ Devices are dropped by a Poisson process on a finite rectangular window
 deficit) and connected per layer by range thresholds.  Each layer is
 kept only as the (i < j) pair array of a k-d tree query; degrees and
 every other view of the graph are computed from those pairs.
+
+The k-d trees use sliding-midpoint splits on uncompacted node boxes
+with 10-point leaves (``_TREE``).  These settings change which tree
+nodes a query visits, not which pairs it returns: the pair sets are
+those of a scipy-default ``cKDTree`` query.
 """
 from __future__ import annotations
 
@@ -17,6 +22,15 @@ from .degree import NetworkParams
 
 TYPE_I = 1
 TYPE_II = 2
+
+# cKDTree settings for every pair query.  scipy's defaults (median
+# splits, node boxes shrunk to the data, 16-point leaves) visit more
+# node pairs on this package's sparse graphs (2.5-6 neighbours per
+# node); sliding-midpoint splits with 10-point leaves cut the pair
+# query's time by about a fifth there and by a few percent on dense
+# ones.  A smaller leaf helps sparse graphs and hurts dense ones, so
+# re-time both before changing leafsize.
+_TREE = {"leafsize": 10, "balanced_tree": False, "compact_nodes": False}
 
 
 class EmptyGraphError(ValueError):
@@ -116,11 +130,15 @@ def _pairs_within(
     if len(positions) < 2 or radius <= 0.0:
         return np.empty((0, 2), dtype=np.int64)
     if region.wrap:
-        # cKDTree periodic boxes require coordinates strictly inside the box.
-        pos = np.mod(positions, (region.width, region.height))
-        tree = cKDTree(pos, boxsize=(region.width, region.height))
+        # cKDTree periodic boxes require coordinates in [0, size).  np.mod
+        # rounds a tiny negative coordinate up to the size itself, which
+        # is the same torus point as 0.
+        box = np.array([region.width, region.height])
+        pos = np.mod(positions, box)
+        pos[pos == box] = 0.0
+        tree = cKDTree(pos, boxsize=box, **_TREE)
     else:
-        tree = cKDTree(positions)
+        tree = cKDTree(positions, **_TREE)
     return tree.query_pairs(radius, output_type="ndarray")
 
 
@@ -139,7 +157,21 @@ def build_rgg(
     params: NetworkParams,
     region: Region,
 ) -> MultiplexGraph:
-    """Connect the sampled points into the two layers."""
+    """Connect the sampled points into the two layers.
+
+    Raises ValueError if positions is not a finite (n, 2) array, if
+    types does not have length n, or if two or more points lie on a
+    wrapped region of zero width or height.
+    """
+    positions = np.asarray(positions, dtype=float)
+    if positions.ndim != 2 or positions.shape[1] != 2 or not np.isfinite(positions).all():
+        raise ValueError(f"positions must be a finite (n, 2) array, got shape {positions.shape}")
+    n = len(positions)
+    if np.shape(types) != (n,):
+        raise ValueError(f"types must have length n = {n}, got shape {np.shape(types)}")
+    if region.wrap and n >= 2 and min(region.width, region.height) == 0.0:
+        raise ValueError(f"region must have positive width and height to wrap "
+                         f"{n} points, got {region.width} x {region.height} km")
     # Layer 1: type-I devices only, range r1.  idx1 is ascending, so
     # mapping the sub-sample's pairs back keeps i < j.
     idx1 = np.flatnonzero(types == TYPE_I)

@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from d2dnet import NetworkParams, Region, build_rgg, empirical_degrees, sample_graph, sample_ppp
-from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph
+from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph, _pairs_within
 
 
 PARAMS = NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5)
@@ -120,6 +121,35 @@ class TestBuildRgg:
         assert sorted_pairs(graph.pairs1).tolist() == ref1
         assert sorted_pairs(graph.pairs2).tolist() == ref2
 
+    def test_point_folded_onto_the_box_edge_is_a_torus_point(self):
+        # np.mod(-1e-17, 10.0) == 10.0, which the periodic tree rejects.
+        positions = np.array([[-1e-17, 5.0], [9.95, 5.0], [5.0, -1e-17], [5.0, 9.95]])
+        types = np.full(4, TYPE_II, dtype=np.int8)
+        params = NetworkParams(p=0.0, lam=1.0, r1=0.5, r2=0.1)
+        graph = build_rgg(positions, types, params, REGION)
+        assert sorted_pairs(graph.pairs2).tolist() == [[0, 1], [2, 3]]
+
+    @pytest.mark.parametrize("positions", [
+        np.array([[1.0, 1.0], [np.nan, 2.0], [3.0, 3.0]]),
+        np.array([[1.0, 1.0], [2.0, np.inf], [3.0, 3.0]]),
+        np.zeros((3, 3)), np.zeros(3)], ids=["nan", "inf", "three-columns", "1-d"])
+    def test_rejects_positions_that_are_not_finite_n_by_2(self, positions):
+        types = np.full(3, TYPE_I, dtype=np.int8)
+        with pytest.raises(ValueError, match="positions"):
+            build_rgg(positions, types, PARAMS, REGION)
+
+    @pytest.mark.parametrize("n_types", [2, 4])
+    def test_rejects_types_of_another_length(self, n_types):
+        with pytest.raises(ValueError, match="types"):
+            build_rgg(np.ones((3, 2)), np.full(n_types, TYPE_I, dtype=np.int8),
+                      PARAMS, REGION)
+
+    @pytest.mark.parametrize("region", [Region(0.0, 5.0), Region(5.0, 0.0)])
+    def test_rejects_points_on_a_wrapped_region_of_zero_size(self, region):
+        with pytest.raises(ValueError, match="region"):
+            build_rgg(np.zeros((2, 2)), np.full(2, TYPE_I, dtype=np.int8),
+                      PARAMS, region)
+
     @pytest.mark.parametrize("region", [Region(0.0, 5.0), Region(0.2, 0.2)])
     def test_tiny_graph_has_one_row_per_node(self, region):
         graph = sample_graph(PARAMS, region, seed=0)
@@ -146,6 +176,71 @@ class TestBuildRgg:
             MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), empty, pairs, REGION)
         with pytest.raises(ValueError):
             MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I), pairs, empty, REGION)
+
+
+def scipy_default_pairs(positions, radius, region):
+    """Pairs (i < j) from a cKDTree with scipy's default settings."""
+    boxsize = (region.width, region.height) if region.wrap else None
+    tree = cKDTree(positions, boxsize=boxsize)
+    return sorted_pairs(tree.query_pairs(radius, output_type="ndarray"))
+
+
+def sampled(lam, width, seed):
+    """A Poisson sample of density lam on a width x width box."""
+    region = Region(width, width)
+    return sample_ppp(NetworkParams(p=0.5, lam=lam, r1=0.0, r2=0.0), region, seed)[0], region
+
+
+def lattice(spacing, count, width):
+    """A count x count grid of points `spacing` apart in a width x width box."""
+    axis = np.arange(count) * spacing
+    return np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2), Region(width, width)
+
+
+def coincident_clusters():
+    """75 points stacked at three spots, one on the box corner, plus 100 spread."""
+    spread, region = sampled(100 / 9, 3.0, seed=5)
+    spots = np.repeat([[0.0, 0.0], [1.5, 1.5], [2.9, 0.1]], 25, axis=0)
+    return np.concatenate([spots, spread[:100]]), region
+
+
+class TestPairsWithin:
+    """The pair query's tree settings move no pair: every pair set equals
+    a scipy-default tree's, wrapped and flat."""
+
+    @pytest.mark.parametrize("wrap", [True, False], ids=["wrapped", "flat"])
+    @pytest.mark.parametrize("points, radius", [
+        (sampled(50.0, 5.0, 1), 0.5),       # degree validation, layer 2
+        (sampled(20.0, 5.0, 2), 1.0),       # degree validation, layer 1
+        (sampled(15.0, 6.0, 3), 0.5),       # README simulate, layer 2
+        (sampled(6.0, 6.0, 4), 1.0),        # README simulate, layer 1
+        (sampled(15.0, 14.0, 5), 0.5),      # criterion-5 simulate, layer 2
+        (sampled(3.9, 40.0, 6), 0.453),     # reconfig, layer 2
+        (sampled(1.5, 40.0, 7), 1.132),     # reconfig, layer 1
+        (sampled(20.0, 2.0, 8), 1.0),       # radius half the box
+        (sampled(20.0, 2.0, 9), 1.5),       # radius past half the box
+        (sampled(20.0, 2.0, 10), 2.5),      # radius past half the diagonal
+        # Pairs at exactly r: axis neighbours and a 3-4-5 triangle.
+        (lattice(0.25, 16, 4.0), 0.25),
+        (lattice(0.25, 16, 4.0), 0.5),
+        (lattice(0.25, 16, 4.0), 1.25),
+        # Pairs within an ulp or two of r, as 0.1 is not a binary fraction.
+        (lattice(0.1, 20, 2.0), 0.1),
+        (lattice(0.1, 20, 2.0), 0.3),
+        (lattice(0.1, 20, 2.0), 0.5),
+        (coincident_clusters(), 0.0001),
+        (coincident_clusters(), 0.3)],
+        ids=["deploy-2", "deploy-1", "simulate-2", "simulate-1", "simulate-large-2",
+             "reconfig-2", "reconfig-1", "half-box", "past-half-box", "past-half-diagonal",
+             "exact-0.25", "exact-0.5", "exact-1.25", "near-0.1", "near-0.3", "near-0.5",
+             "coincident-0.0001", "coincident-0.3"])
+    def test_pairs_match_a_default_tree(self, wrap, points, radius):
+        positions, region = points
+        region = Region(region.width, region.height, wrap=wrap)
+        expected = scipy_default_pairs(positions, radius, region)
+        assert len(expected)
+        assert np.array_equal(sorted_pairs(_pairs_within(positions, radius, region)),
+                              expected)
 
 
 class TestEmpiricalDegrees:
