@@ -6,15 +6,30 @@ with step h, run to a quasi-stationary regime.  Finite graphs absorb at
 the all-uninformed state, so on extinction the state is regenerated by
 re-seeding one random node (standard quasi-stationary handling).
 
-All R replications advance together: a message's state is an (n, R)
-boolean matrix, one column per replication.  A step packs each node's R
-states as the low lanes of a few uint64 words (SIMD within a register:
-narrow unsigned counters that share one machine word and add without
-carries between them) and makes one sparse matrix-vector product per
-message, plus one uniform draw per node and replication.  Every call
-draws from one generator seeded with ``SimConfig.seed``, so results are
-bit-for-bit deterministic per seed; since the replications share that
-stream, a replication's path also depends on R.
+All R replications advance together: a message's state is a boolean
+matrix with one column per replication and one row per node the message
+can reach.  Message 1 travels on layer 1 only, so ``simulate_dual``
+numbers the type-I devices first and keeps message 1's state on those
+n1 rows; message 2 and the single message keep all n.  A step packs
+each node's R states as the low lanes of a few uint64 words (SIMD
+within a register: narrow unsigned counters that share one machine word
+and add without carries between them) and makes one sparse
+matrix-vector product per message.
+
+Each step draws exactly the uniforms it uses, as 32-bit integers: n1*R
+for message 1 and then n*R for message 2 (n*R for the single message),
+taken in order as the low and then the high 32-bit half of each raw
+PCG64 word (``bit_generator.random_raw``), whose stream NEP 19 keeps
+stable across numpy releases.  A uniform u makes an event of
+probability 1 - t happen when u >= ceil(t * 2^32), so every transition
+probability is exact to 2^-32, and the events of probability 0 and 1
+are exact.  The fair coin and the re-seeding draw from the same
+generator with ``Generator.random`` and ``Generator.choice``.  Every
+call is seeded with ``SimConfig.seed``, so results are bit-for-bit
+deterministic per seed; since the replications share that stream, a
+replication's path also depends on R.  The stream, and so the result
+for a given seed, changed once when message 1 moved to the type-I rows
+and the uniforms to 32-bit halves.
 """
 from __future__ import annotations
 
@@ -77,32 +92,33 @@ class SimResult:
 
 
 def _seed_initial(n: int, replications: int, fraction: float,
-                  pool: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """(n, replications) start state: each column informs the same share of ``pool``."""
+                  rng: np.random.Generator) -> np.ndarray:
+    """(n, replications) start state: each column informs the same share of the n nodes."""
     informed = np.zeros((n, replications), dtype=bool)
-    count = max(1, int(round(fraction * len(pool)))) if len(pool) else 0
+    count = max(1, int(round(fraction * n))) if n else 0
     if count:
         for column in informed.T:
-            column[rng.choice(pool, size=count, replace=False)] = True
+            column[rng.choice(n, size=count, replace=False)] = True
     return informed
 
 
 @dataclass(frozen=True)
 class _Channel:
-    """One message's spreading layer, set up for ``_step`` at a fixed R.
+    """One message's spreading layer on its n nodes, set up for ``_step`` at a fixed R.
 
     Row i of the counts matrix, applied to the informed indicators,
     gives an index into ``threshold``.  ``blocks`` holds that matrix as
     uint64 ``kron(counts, identity(words))``, node-major: node i owns
     words i*words ... i*words + words - 1, and replication r is lane r
-    of those words, a lane being one ``lane``-typed counter.
+    of those words, a lane being one ``lane``-typed counter.  Every
+    node may be re-seeded by a quasi-stationary regeneration.
     """
 
+    n: int
     blocks: csr_matrix       # uint64 kron(counts, identity(words))
     words: int               # uint64 words per node, enough for R lanes
     lane: np.dtype           # uint8, uint16, uint32 or uint64
-    threshold: np.ndarray    # indexed by a node's lane sum
-    pool: np.ndarray         # nodes a quasi-stationary regeneration may re-seed
+    threshold: np.ndarray    # int64 ceil(t * 2^32), indexed by a node's lane sum
     regenerate: bool
 
 
@@ -118,8 +134,7 @@ def _counts(n: int, pairs: np.ndarray, mark: int) -> csr_matrix:
     return coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _channel(n: int, pairs: np.ndarray, alpha: float, pool: np.ndarray,
-             config: SimConfig) -> _Channel:
+def _channel(n: int, pairs: np.ndarray, alpha: float, config: SimConfig) -> _Channel:
     """Counts matrix, lane layout and thresholds of the n-node ``pairs``.
 
     Built for ``config.replications``.  ``words`` is sized for the
@@ -133,7 +148,11 @@ def _channel(n: int, pairs: np.ndarray, alpha: float, pool: np.ndarray,
     # A diagonal entry above every row sum makes row i of counts @ X equal
     # m_i + mark * x_i, with m_i the informed-neighbour count: one lookup
     # then gives an uninformed node (1 - p_tx)^m_i, the chance that none
-    # of its m_i transmissions gets through, and an informed node p_rec.
+    # of its m_i transmissions gets through, and an informed node p_rec,
+    # each scaled to a 32-bit threshold.  Scaling by 2^32 is exact and
+    # the ceiling moves a probability by less than 2^-32; a threshold of
+    # 2^32 is above every uniform, so m_i = 0 never informs and h = 1
+    # always recovers, and 0 is below every one, so p_tx = 1 always informs.
     p_tx, p_rec = alpha * config.time_step, config.time_step
     mark = int(np.bincount(pairs.ravel(), minlength=n).max(initial=0)) + 1
     reps = config.replications
@@ -143,8 +162,9 @@ def _channel(n: int, pairs: np.ndarray, alpha: float, pool: np.ndarray,
     lane = next(np.dtype(t) for t in (np.uint64, np.uint32, np.uint16, np.uint8)
                 if reps * np.dtype(t).itemsize <= 8 * words)
     threshold = np.concatenate([(1.0 - p_tx) ** np.arange(mark), np.full(mark, p_rec)])
-    return _Channel(_node_major_blocks(_counts(n, pairs, mark), words), words, lane,
-                    threshold, pool, config.quasi_stationary and p_tx > 0.0 and len(pool) > 0)
+    return _Channel(n, _node_major_blocks(_counts(n, pairs, mark), words), words, lane,
+                    np.ceil(np.ldexp(threshold, 32)).astype(np.int64),
+                    config.quasi_stationary and p_tx > 0.0 and n > 0)
 
 
 def _node_major_blocks(counts: csr_matrix, words: int) -> csr_matrix:
@@ -169,23 +189,36 @@ def _node_major_blocks(counts: csr_matrix, words: int) -> csr_matrix:
     return csr_matrix((data, indices, indptr), shape=(n * words, n * words))
 
 
-def _step(informed: np.ndarray, channel: _Channel, rng: np.random.Generator) -> np.ndarray:
+def _uniforms(bit_generator: np.random.BitGenerator, count: int) -> np.ndarray:
+    """``count`` uniform 32-bit integers from ``ceil(count / 2)`` raw words.
+
+    They are the low and then the high half of each word, ``raw &
+    0xFFFFFFFF`` then ``raw >> 32``: the little-endian uint32 view of the
+    words, on a host of either byte order.  The last high half is unused
+    when ``count`` is odd.
+    """
+    raw = bit_generator.random_raw(-(-count // 2)).astype("<u8", copy=False)
+    return raw.view("<u4")[:count]
+
+
+def _step(informed: np.ndarray, u: np.ndarray, channel: _Channel) -> np.ndarray:
     """One synchronous update of every replication (column) at once.
 
-    One uniform u per node and replication: an informed node recovers if
-    u < p_rec, an uninformed one with m informed neighbours is informed
-    if u >= (1 - p_tx)^m.  That is the law of independent per-edge
-    transmissions, with at most one status change per node.  The
-    indices come from one product of ``channel.blocks`` with the state
-    packed one replication per lane; ``informed`` must have the R
-    columns the channel was built for.
+    ``u`` holds one uniform 32-bit integer per node and replication: an
+    informed node recovers if u < ceil(p_rec * 2^32), an uninformed one
+    with m informed neighbours is informed if u >= ceil((1 - p_tx)^m *
+    2^32).  That is the law of independent per-edge transmissions, with
+    at most one status change per node.  The indices come from one
+    product of ``channel.blocks`` with the state packed one replication
+    per lane; ``informed`` must have the channel's n rows and the R
+    columns it was built for.
     """
     n, reps = informed.shape
-    u = rng.random(informed.shape)
-    lanes = np.zeros((n, channel.words * 8 // channel.lane.itemsize), channel.lane)
+    per_node = channel.words * 8 // channel.lane.itemsize
+    lanes = np.zeros((n, per_node), channel.lane)
     lanes[:, :reps] = informed
     sums = channel.blocks @ lanes.view(np.uint64).ravel()
-    return u >= channel.threshold.take(sums.view(channel.lane).reshape(n, -1)[:, :reps])
+    return u >= channel.threshold.take(sums.view(channel.lane).reshape(n, per_node)[:, :reps])
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -194,20 +227,25 @@ def _standard_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
-def _simulate(graph: MultiplexGraph, channels: list[_Channel], config: SimConfig
+def _simulate(n: int, channels: list[_Channel], config: SimConfig
               ) -> tuple[np.ndarray, list[float], int, int, np.ndarray | None]:
-    """Run one or two messages over all replications as (n, R) states.
+    """Run one or two messages on an n-node graph over all replications.
 
-    With two messages, a node whose status would flip for both in the
-    same step keeps one of the two changes, chosen by a fair coin.
+    Each channel's state holds the first ``channel.n`` nodes; fractions
+    are of all n.  With two messages, a node whose status would flip
+    for both in the same step keeps one of the two changes, chosen by a
+    fair coin; only the first ``channels[0].n`` nodes carry both.
     Returns the replication means of the time-averaged fractions (one
     per message, plus both-informed with two messages), their standard
     errors, the replications that ever went extinct, the number of
     regenerations and the optional (R, steps, rows) time series.
     """
-    n, reps = graph.n, config.replications
+    reps = config.replications
     rng = np.random.default_rng(config.seed)
-    states = [_seed_initial(n, reps, config.initial_fraction, ch.pool, rng) for ch in channels]
+    states = [_seed_initial(ch.n, reps, config.initial_fraction, rng) for ch in channels]
+    draws = sum(ch.n for ch in channels) * reps
+    cuts = np.cumsum([ch.n * reps for ch in channels[:-1]])
+    shared = channels[0].n
     rows = 1 if len(channels) == 1 else 3
     steps = config.burn_in + config.measure_steps
     series = np.empty((reps, steps, rows)) if config.record_timeseries else None
@@ -219,27 +257,30 @@ def _simulate(graph: MultiplexGraph, channels: list[_Channel], config: SimConfig
     # along the strided first axis of an (n, R) array.
     ones = np.ones(n)
     for step in range(steps):
-        new = [_step(x, ch, rng) for x, ch in zip(states, channels)]
+        uniforms = np.split(_uniforms(rng.bit_generator, draws), cuts)
+        new = [_step(x, u.reshape(x.shape), ch) for x, u, ch in zip(states, uniforms, channels)]
         if len(new) == 2:
-            both_changed = (new[0] != states[0]) & (new[1] != states[1])
+            # Message 2's first rows are views: the nodes that carry both.
+            first, second = new[0], new[1][:shared]
+            both_changed = (first != states[0]) & (second != states[1][:shared])
             count = int(np.count_nonzero(both_changed))
             if count:
                 keep_first = np.zeros_like(both_changed)
                 keep_first[both_changed] = rng.random(count) < 0.5
-                new[1] ^= keep_first
-                new[0] ^= both_changed & ~keep_first
+                second ^= keep_first
+                first ^= both_changed & ~keep_first
         for i, (x, ch) in enumerate(zip(new, channels)):
-            informed = ones @ x
+            informed = ones[:ch.n] @ x
             empty = np.flatnonzero(informed == 0)
             if len(empty):
                 went_extinct[empty] = True
                 if ch.regenerate:
-                    x[rng.choice(ch.pool, size=len(empty)), empty] = True
+                    x[rng.choice(ch.n, size=len(empty)), empty] = True
                     informed[empty] = 1
                     regenerations += len(empty)
             fracs[i] = informed / n
         if rows == 3:
-            fracs[2] = ones @ (new[0] & new[1]) / n
+            fracs[2] = ones[:shared] @ (new[0] & new[1][:shared]) / n
         states = new
         if series is not None:
             series[:, step] = fracs.T
@@ -261,8 +302,8 @@ def simulate_single(
     # A type-I pair within r2 is a neighbour in both layers: its entry of
     # 2 gives it two transmission chances per step.
     combined = np.concatenate([graph.pairs1, graph.pairs2])
-    channel = _channel(graph.n, combined, alpha, np.arange(graph.n), config)
-    means, ses, extinctions, regenerations, series = _simulate(graph, [channel], config)
+    channel = _channel(graph.n, combined, alpha, config)
+    means, ses, extinctions, regenerations, series = _simulate(graph.n, [channel], config)
     return SimResult(
         informed_fraction_combined=float(means[0]),
         se_combined=ses[0],
@@ -278,18 +319,25 @@ def simulate_dual(
     """Two messages, each on its own layer, with per-node single-change updates.
 
     If a node's status would flip for both messages in the same step,
-    one of the two changes is kept uniformly at random.
+    one of the two changes is kept uniformly at random.  Message 1 can
+    only reach type-I devices, so its state holds only those; layer 1
+    must join type-I devices only.
     """
     if graph.n == 0:
         raise ValueError("graph must be nonempty")
     for a in (alpha1, alpha2):
         if not 0.0 <= a <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {a}")
-    # Message 1 can only ever reach type-I devices (layer-1 edges).
-    type1_nodes = np.flatnonzero(graph.types == TYPE_I)
-    channels = [_channel(graph.n, graph.pairs1, alpha1, type1_nodes, config),
-                _channel(graph.n, graph.pairs2, alpha2, np.arange(graph.n), config)]
-    means, ses, extinctions, regenerations, series = _simulate(graph, channels, config)
+    type1 = graph.types == TYPE_I
+    if not type1[graph.pairs1].all():
+        raise ValueError("layer-1 pairs must join type-I devices")
+    # Number the type-I devices first, each type in its stored order, so
+    # message 1's n1 rows are the first n1 rows of message 2's state.
+    label = np.empty(graph.n, np.int64)
+    label[np.concatenate([np.flatnonzero(type1), np.flatnonzero(~type1)])] = np.arange(graph.n)
+    channels = [_channel(int(type1.sum()), label[graph.pairs1], alpha1, config),
+                _channel(graph.n, label[graph.pairs2], alpha2, config)]
+    means, ses, extinctions, regenerations, series = _simulate(graph.n, channels, config)
     return SimResult(
         informed_fraction_1=float(means[0]),
         informed_fraction_2=float(means[1]),

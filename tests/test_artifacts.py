@@ -59,7 +59,7 @@ SHA256 = {
     },
     "simulate": {
         "manifest.json": "ce515748ced2056d8856c14c8ed674e6e661879f6db4c272f7dbf5e7a9608021",
-        "simulate.csv": "708bf5cab8f1f943a29a8c19540ce1bd593374c61c487a0679dd03406051195f",
+        "simulate.csv": "78d3fef47ab7a4c523737305affbc6453a3e6629a6ecd56f609a31d0160feb91",
     },
     "design": {
         "design_solution.json": "0666225d7fa47b5ab72c3f0288fbc74b557b1b893f79534b932732826d2701e1",
@@ -94,12 +94,12 @@ ORACLE_RUNS = {
 ORACLE_SHA256 = {
     "simulate_large": {
         "manifest.json": "fdfe40a602d8557e091b751d9b079cc38172764e9bd761ecddf2eb0d57cafefd",
-        "simulate.csv": "c366daf113f2f89e2c4370d828364c7256f3870ac7df3b4a5282967b648eed6c",
+        "simulate.csv": "c683409d4eb05074bcf7d4ffa431b7944eefef80d3c82f7f0cfc818f16363d91",
     },
     "simulate_plane": {
         "manifest.json": "d8d576d76378ddba2a5be8775b0ea3d11f0335f4127909732ea18dc1c8ddbc14",
-        "simulate.csv": "a19bc0ed10a2c3ce1220751dfd53eee313a82fbcdb1ad316e042d09f15ef2506",
-        "timeseries.csv": "79d7bb78b9ce68a0ac25cf9b6b710094c85a5d16dc9a86f8f14c0b960acde1ac",
+        "simulate.csv": "77947fcfa38e466dff37bcc48f752e000a4cf6bc5ef911fb3d9385a478dcb828",
+        "timeseries.csv": "2577f446ed6a3e30dfa8b2beb72717ed3f0d7f7078993f72cf2460b9a17d1a9c",
     },
 }
 

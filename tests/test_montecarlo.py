@@ -17,8 +17,9 @@ from d2dnet import (
     spreading_rates,
 )
 from d2dnet.geometry import TYPE_I, TYPE_II, MultiplexGraph
-from d2dnet.montecarlo import _channel, _step
+from d2dnet.montecarlo import _channel, _step, _uniforms
 from d2dnet.reconfig import _connectivity_estimate
+from test_montecarlo_exact import assert_within, dual_chain, exact_means
 
 
 def complete_graph(n, region_side=5.0):
@@ -56,14 +57,36 @@ class TestSimConfig:
 README_PARAMS = NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)
 
 
+def halves(raw):
+    """The 32-bit uniforms of raw words by arithmetic: each low half, then its high half."""
+    return np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], axis=1).ravel()
+
+
+def law_thresholds(alpha, h, mark):
+    """ceil(t * 2^32) of each step-law threshold t, in Python integers."""
+    law = [(1.0 - alpha * h) ** m for m in range(mark)] + [h] * mark
+    return [math.ceil(t * 2 ** 32) for t in law]
+
+
+class TestUniforms:
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 1000, 1001])
+    def test_halves_of_every_raw_word(self, count):
+        drawn, plain = np.random.default_rng(count), np.random.default_rng(count)
+        u = _uniforms(drawn.bit_generator, count)
+        raw = plain.bit_generator.random_raw(-(-count // 2))
+        assert u.dtype.itemsize == 4 and u.dtype.kind == "u"
+        assert np.array_equal(u, halves(raw)[:count])
+        # An odd count leaves the last high half unused, not carried over.
+        assert drawn.bit_generator.random_raw() == plain.bit_generator.random_raw()
+
+
 class TestPackedStep:
     """The lane-packed ``_step`` against the plain (n, R) integer product."""
 
     @staticmethod
     def assert_matches_unpacked(graph, reps, seed):
         pairs = np.concatenate([graph.pairs1, graph.pairs2])
-        channel = _channel(graph.n, pairs, 0.45, np.arange(graph.n),
-                           SimConfig(replications=reps))
+        channel = _channel(graph.n, pairs, 0.45, SimConfig(replications=reps))
         # The reference counts come from a dense matrix, not from _counts.
         counts = np.zeros((graph.n, graph.n), dtype=np.int64)
         np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
@@ -73,17 +96,21 @@ class TestPackedStep:
         blocks = kron(csr_matrix(counts), identity(channel.words, dtype=np.int64), format="csr")
         assert channel.blocks.dtype == np.uint64
         assert (channel.blocks != blocks).nnz == 0
+        thresholds = law_thresholds(0.45, 0.1, mark)
+        assert channel.threshold.dtype == np.int64
+        assert channel.threshold.tolist() == thresholds
         rng = np.random.default_rng(seed)
         # A half-informed state, plus the all-informed one: there the
         # highest-degree node reaches the largest index, 2 * mark - 1.
         states = [rng.random((graph.n, reps)) < 0.5, np.ones((graph.n, reps), dtype=bool)]
         for informed in states:
             packed_rng, plain_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            packed = _step(informed, channel, packed_rng)
-            u = plain_rng.random(informed.shape)
-            expected = u >= channel.threshold.take(counts @ informed)
+            u = _uniforms(packed_rng.bit_generator, informed.size).reshape(informed.shape)
+            packed = _step(informed, u, channel)
+            raw = plain_rng.bit_generator.random_raw(-(-informed.size // 2))
+            plain_u = halves(raw)[:informed.size].reshape(informed.shape).astype(np.int64)
+            expected = plain_u >= np.array(thresholds)[counts @ informed]
             assert np.array_equal(packed, expected)
-            assert packed_rng.random() == plain_rng.random()
         return channel, mark
 
     # The words hold R uint8 lanes; the lane is the widest type that
@@ -105,20 +132,22 @@ class TestPackedStep:
         assert mark > 128 and channel.lane == np.uint16 and channel.words == 3
 
 
+# Nodes 0, 1 are type I; layer 1 is the pair 0-1 and layer 2 the cycle
+# 0-1-2-3-0, so the combined pair 0-1 has multiplicity 2.
+FOUR_CYCLE = MultiplexGraph(
+    np.zeros((4, 2)), np.array([TYPE_I, TYPE_I, TYPE_II, TYPE_II], dtype=np.int8),
+    np.array([[0, 1]]), np.array([[0, 1], [1, 2], [2, 3], [0, 3]]), Region(1.0, 1.0))
+
+
 class TestStepLaw:
     def test_one_step_matches_per_edge_law(self):
-        # Nodes 0, 1 are type I; layer 1 is the pair 0-1 and layer 2 the
-        # cycle 0-1-2-3-0, so the combined pair 0-1 has multiplicity 2.
-        graph = MultiplexGraph(
-            np.zeros((4, 2)), np.array([TYPE_I, TYPE_I, TYPE_II, TYPE_II], dtype=np.int8),
-            np.array([[0, 1]]), np.array([[0, 1], [1, 2], [2, 3], [0, 3]]),
-            Region(1.0, 1.0))
         alpha, h, reps = 0.5, 0.3, 20_000
-        channel = _channel(4, np.concatenate([graph.pairs1, graph.pairs2]), alpha,
-                           np.arange(4), SimConfig(time_step=h, replications=reps))
+        channel = _channel(4, np.concatenate([FOUR_CYCLE.pairs1, FOUR_CYCLE.pairs2]), alpha,
+                           SimConfig(time_step=h, replications=reps))
         informed = np.zeros((4, reps), dtype=bool)
         informed[[0, 2]] = True
-        freq = _step(informed, channel, np.random.default_rng(1)).mean(axis=1)
+        u = _uniforms(np.random.default_rng(1).bit_generator, informed.size)
+        freq = _step(informed, u.reshape(informed.shape), channel).mean(axis=1)
         # Informed nodes stay informed unless they recover (probability h).
         # Informed-neighbour counts with multiplicity: node 1 hears node 0
         # twice and node 2 once, node 3 hears nodes 0 and 2 once each.
@@ -126,6 +155,34 @@ class TestStepLaw:
                     2: 1 - h, 3: 1 - (1 - alpha * h) ** 2}
         for node, e in expected.items():
             assert abs(freq[node] - e) < 5 * math.sqrt(e * (1 - e) / reps), node
+
+
+class TestExactEvents:
+    """Events of probability 0 or 1 stay exact for the extreme uniforms."""
+
+    # Node 0 alone is informed: node 1 hears it twice, node 3 once, and
+    # node 2 hears no informed neighbour.
+    INFORMED = np.array([True, False, False, False])
+    EXTREMES = [0, 2 ** 32 - 1]
+
+    def step(self, alpha, h, u):
+        channel = _channel(4, np.concatenate([FOUR_CYCLE.pairs1, FOUR_CYCLE.pairs2]), alpha,
+                           SimConfig(time_step=h, replications=1))
+        return _step(self.INFORMED[:, None], np.full((4, 1), u, np.uint32), channel)[:, 0]
+
+    @pytest.mark.parametrize("u", EXTREMES)
+    @pytest.mark.parametrize("alpha, h", [(1.0, 1.0), (0.5, 0.3), (1.0, 0.01)])
+    def test_no_informed_neighbour_is_never_informed(self, alpha, h, u):
+        assert not self.step(alpha, h, u)[2]
+
+    @pytest.mark.parametrize("u", EXTREMES)
+    def test_certain_transmission_informs_every_exposed_node(self, u):
+        assert self.step(1.0, 1.0, u)[[1, 3]].all()
+
+    @pytest.mark.parametrize("u", EXTREMES)
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 1.0])
+    def test_unit_step_recovers_every_informed_node(self, alpha, u):
+        assert not self.step(alpha, 1.0, u)[0]
 
 
 class TestGoldenValues:
@@ -147,8 +204,8 @@ class TestGoldenValues:
 
     # R = 1 steps on a single uint64 lane per node, R = 3 on uint16 lanes.
     def test_simulate_single(self):
-        for reps, fraction, se in ((1, 0.8302816901408452, 0.0),
-                                   (3, 0.8237871674491393, 0.005097345156805718)):
+        for reps, fraction, se in ((1, 0.8204225352112676, 0.0),
+                                   (3, 0.8276212832550861, 0.002805739928677244)):
             res = simulate_single(sample_graph(*self.GRAPH), 0.45, self.config(reps))
             assert res.informed_fraction_combined == fraction, reps
             assert res.se_combined == se, reps
@@ -156,10 +213,10 @@ class TestGoldenValues:
 
     def test_simulate_dual(self):
         for reps, fractions, ses in (
-                (1, (0.4588028169014085, 0.747887323943662, 0.35023474178403746),
+                (1, (0.4570422535211267, 0.7438967136150236, 0.34049295774647886),
                  (0.0, 0.0, 0.0)),
-                (3, (0.46240219092331764, 0.729733959311424, 0.3362284820031298),
-                 (0.00044090092604007875, 0.009605389165464868, 0.0063370620798127))):
+                (3, (0.4553990610328638, 0.7354460093896712, 0.33802816901408445),
+                 (0.005776667331408691, 0.015421808697512968, 0.010849244500205961))):
             res = simulate_dual(sample_graph(*self.GRAPH), 0.5, 0.4, self.config(reps))
             assert (res.informed_fraction_1, res.informed_fraction_2,
                     res.informed_fraction_both) == fractions, reps
@@ -253,6 +310,49 @@ class TestSimulateDual:
         b = simulate_dual(graph, 0.5, 0.4, config)
         assert a.informed_fraction_both == b.informed_fraction_both
         assert a.informed_fraction_1 == b.informed_fraction_1
+
+    def test_message_1_never_informs_a_type_ii_device(self):
+        graph = sample_graph(NetworkParams(p=0.3, lam=30.0, r1=0.8, r2=0.4),
+                             Region(3.0, 3.0), seed=12)
+        share1 = np.count_nonzero(graph.types == TYPE_I) / graph.n
+        config = SimConfig(burn_in=50, measure_steps=50, replications=5, seed=12,
+                           initial_fraction=1.0, record_timeseries=True)
+        series = simulate_dual(graph, 1.0, 1.0, config).timeseries
+        # Message 1 starts on every type-I device and never gets further.
+        assert series[..., 0].max() <= share1 < series[..., 1].max()
+        assert np.all(series[..., 2] <= series[..., 0])
+
+    def test_rejects_layer_1_pair_with_a_type_ii_device(self):
+        graph = MultiplexGraph(np.zeros((3, 2)), np.array([TYPE_I, TYPE_II, TYPE_I], np.int8),
+                               np.array([[0, 1]]), np.array([[0, 1], [1, 2]]), Region(1.0, 1.0))
+        with pytest.raises(ValueError, match="type-I"):
+            simulate_dual(graph, 0.5, 0.5, SimConfig())
+
+    def test_no_type_i_device_runs_message_2_alone(self):
+        # With n1 = 0 message 1 draws nothing and never meets message 2,
+        # so message 2 replays the single message on layer 2 draw for draw.
+        graph = sample_graph(NetworkParams(p=0.0, lam=30.0, r1=0.8, r2=0.4),
+                             Region(3.0, 3.0), seed=13)
+        config = SimConfig(burn_in=100, measure_steps=60, replications=3, seed=13)
+        dual = simulate_dual(graph, 0.7, 0.4, config)
+        single = simulate_single(graph, 0.4, config)
+        assert (dual.informed_fraction_1, dual.informed_fraction_both, dual.se_1) == (0.0, 0.0, 0.0)
+        assert dual.informed_fraction_2 == single.informed_fraction_combined
+        assert dual.se_2 == single.se_combined
+        assert dual.extinctions == config.replications
+        assert dual.regenerations == single.regenerations
+
+    def test_only_type_i_devices_match_exact_chain(self):
+        # n1 = n: message 1's rows are every node, numbered as stored.
+        graph = MultiplexGraph(np.zeros((3, 2)), np.full(3, TYPE_I, np.int8),
+                               np.array([[0, 1], [1, 2]]), np.array([[0, 1], [0, 2]]),
+                               Region(1.0, 1.0))
+        config = SimConfig(time_step=0.6, burn_in=1, measure_steps=12, replications=10_000,
+                           seed=105, initial_fraction=0.5)
+        res = simulate_dual(graph, 0.8, 0.5, config)
+        exact = exact_means(*dual_chain(graph, 0.8, 0.5, config), config)
+        assert_within([res.informed_fraction_1, res.informed_fraction_2,
+                       res.informed_fraction_both], [res.se_1, res.se_2, res.se_both], exact)
 
 
 class TestEstimateDissemination:
