@@ -295,19 +295,29 @@ def integrate_single(
     mean, _ = pmf_moments(pmf)
     k = np.arange(len(pmf), dtype=float)
     kp = k * pmf
+    ak = alpha * k
     n_steps = int(round(horizon / step))
     times = np.arange(n_steps + 1) * step
     states = np.empty((n_steps + 1, len(pmf)))
-    informed = np.full(len(pmf), float(initial_fraction))
-    states[0] = informed
-    for t in range(1, n_steps + 1):
-        theta = float(kp @ informed) / mean if mean > 0 else 0.0
-        informed = informed + step * (-informed + alpha * k * (1.0 - informed) * theta)
-        if informed.min() < -_STATE_SLACK or informed.max() > 1.0 + _STATE_SLACK:
-            raise IntegrationError(
-                f"state left [0, 1] at t={t * step:.3f}; reduce the step size"
-            )
-        states[t] = informed
+    states[0] = float(initial_fraction)
+    # Row t is written in place in the operation order of
+    # x + step * (-x + alpha * k * (1 - x) * theta), which fixes its bits.
+    # A run that leaves [0, 1] may overflow in later steps; the range
+    # check after the loop names its first step outside.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, n_steps + 1):
+            informed, row = states[t - 1], states[t]
+            theta = float(kp @ informed) / mean if mean > 0 else 0.0
+            np.subtract(1.0, informed, out=row)
+            row *= ak
+            row *= theta
+            row -= informed
+            row *= step
+            row += informed
+    outside = (states.min(axis=1) < -_STATE_SLACK) | (states.max(axis=1) > 1.0 + _STATE_SLACK)
+    if outside.any():
+        t = int(outside.argmax())
+        raise IntegrationError(f"state left [0, 1] at t={t * step:.3f}; reduce the step size")
     return Trajectory(times=times, states=states, aggregate=states @ pmf)
 
 

@@ -14,7 +14,7 @@ n1 rows; message 2 and the single message keep all n.  A step packs
 each node's R states as the low lanes of a few uint64 words (SIMD
 within a register: narrow unsigned counters that share one machine word
 and add without carries between them) and makes one sparse
-matrix-vector product per message.
+matrix-vector product per message, a direct call of scipy's CSR kernel.
 
 Each step draws exactly the uniforms it uses, as 32-bit integers: n1*R
 for message 1 and then n*R for message 2 (n*R for the single message),
@@ -38,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
+from scipy.sparse._sparsetools import csr_matvec
 
 from .geometry import TYPE_I, MultiplexGraph
 
@@ -201,6 +202,18 @@ def _uniforms(bit_generator: np.random.BitGenerator, count: int) -> np.ndarray:
     return raw.view("<u4")[:count]
 
 
+def _matvec(blocks: csr_matrix, vec: np.ndarray) -> np.ndarray:
+    """``blocks @ vec`` for uint64 ``vec``, from scipy's CSR kernel itself.
+
+    The same C loop as the ``@`` operator without its dispatch checks;
+    the kernel adds into its output, which therefore starts at zero.
+    """
+    rows, cols = blocks.shape
+    out = np.zeros(rows, np.uint64)
+    csr_matvec(rows, cols, blocks.indptr, blocks.indices, blocks.data, vec, out)
+    return out
+
+
 def _step(informed: np.ndarray, u: np.ndarray, channel: _Channel) -> np.ndarray:
     """One synchronous update of every replication (column) at once.
 
@@ -217,7 +230,7 @@ def _step(informed: np.ndarray, u: np.ndarray, channel: _Channel) -> np.ndarray:
     per_node = channel.words * 8 // channel.lane.itemsize
     lanes = np.zeros((n, per_node), channel.lane)
     lanes[:, :reps] = informed
-    sums = channel.blocks @ lanes.view(np.uint64).ravel()
+    sums = _matvec(channel.blocks, lanes.view(np.uint64).ravel())
     return u >= channel.threshold.take(sums.view(channel.lane).reshape(n, per_node)[:, :reps])
 
 
@@ -243,8 +256,8 @@ def _simulate(n: int, channels: list[_Channel], config: SimConfig
     reps = config.replications
     rng = np.random.default_rng(config.seed)
     states = [_seed_initial(ch.n, reps, config.initial_fraction, rng) for ch in channels]
-    draws = sum(ch.n for ch in channels) * reps
-    cuts = np.cumsum([ch.n * reps for ch in channels[:-1]])
+    # Message i's uniforms are u[ends[i]:ends[i + 1]] of each step's draw.
+    ends = np.cumsum([0] + [ch.n * reps for ch in channels]).tolist()
     shared = channels[0].n
     rows = 1 if len(channels) == 1 else 3
     steps = config.burn_in + config.measure_steps
@@ -257,8 +270,9 @@ def _simulate(n: int, channels: list[_Channel], config: SimConfig
     # along the strided first axis of an (n, R) array.
     ones = np.ones(n)
     for step in range(steps):
-        uniforms = np.split(_uniforms(rng.bit_generator, draws), cuts)
-        new = [_step(x, u.reshape(x.shape), ch) for x, u, ch in zip(states, uniforms, channels)]
+        u = _uniforms(rng.bit_generator, ends[-1])
+        new = [_step(x, u[lo:hi].reshape(x.shape), ch)
+               for x, ch, lo, hi in zip(states, channels, ends, ends[1:])]
         if len(new) == 2:
             # Message 2's first rows are views: the nodes that carry both.
             first, second = new[0], new[1][:shared]

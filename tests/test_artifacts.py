@@ -5,7 +5,9 @@ compares the sha256 of every file in the output directory, manifest.json
 included, against the digests recorded below.  Two more ``simulate``
 runs pin the Monte Carlo oracle beyond the README example: the bench's
 ``oracle`` large-graph op (R = 4, uint16 lanes) and a plane-region run
-with R = 2 (uint32 lanes) and a time series.  Any change to sampling,
+with R = 2 (uint32 lanes) and a time series, and one ``equilibrium``
+run pins the mean-field transient: the bench's ``oracle`` trajectory
+op, whose Euler steps and Theta dots go through BLAS.  Any change to sampling,
 the simulator, the solvers, the designer or the output formatting moves
 them.  Re-record a pin only on purpose, and say which one and why.
 """
@@ -104,6 +106,24 @@ ORACLE_SHA256 = {
 }
 
 
+# bench/workloads.py TRAJECTORY, the oracle workload's trajectory op.
+TRAJECTORY_RUN = ({
+    "params": README_PARAMS,
+    "mode": "trajectory",
+    "alpha": [0.3],
+    "horizon": 50.0,
+    "step": 0.01,
+    "initial_fraction": 0.01,
+    "dual": True,
+}, None)
+
+TRAJECTORY_SHA256 = {
+    "dual_equilibrium.json": "53727c154907f692c877aa511933adc3f24464c94b18d33ead0419f479837d5b",
+    "manifest.json": "ae4685bdbb5fe1afafbdfafd02502e698be2a65ceebee8733e24c862670ea8a2",
+    "trajectory.csv": "086bc2d0610b0d2b4c4484d017ce1a1cf1ca4615dc714f91c0de87ee6a2c1dc3",
+}
+
+
 def _digests(tmp_path, command, config, seed):
     """sha256 of every file ``command`` writes for ``config`` and ``seed``."""
     out = tmp_path / "out"
@@ -126,6 +146,10 @@ def test_readme_command_artifacts_are_pinned(tmp_path, command):
 @pytest.mark.parametrize("run", list(ORACLE_RUNS))
 def test_oracle_artifacts_are_pinned(tmp_path, run):
     assert _digests(tmp_path, "simulate", *ORACLE_RUNS[run]) == ORACLE_SHA256[run]
+
+
+def test_trajectory_artifacts_are_pinned(tmp_path):
+    assert _digests(tmp_path, "equilibrium", *TRAJECTORY_RUN) == TRAJECTORY_SHA256
 
 
 def test_readme_cli_examples_are_the_pinned_ones():

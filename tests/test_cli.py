@@ -17,7 +17,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_artifacts import (ORACLE_RUNS, ORACLE_SHA256, README_COMMANDS,
+from test_artifacts import (ORACLE_RUNS, ORACLE_SHA256, README_COMMANDS, TRAJECTORY_RUN,
                             SHA256 as ARTIFACT_SHA256, _digests)
 
 from d2dnet import cli
@@ -256,6 +256,16 @@ class TestEquilibriumCommand:
         last = rows[-1]
         plateaus = [float(v) for k, v in last.items() if k != "time"]
         assert plateaus == sorted(plateaus)
+
+
+    def test_step_too_large_for_euler_is_runtime_error(self, runner, tmp_path):
+        # The bench trajectory op at step 0.5: the first state outside
+        # [0, 1] is at t = 1.5, and unchecked steps would overflow later.
+        config = write_config(tmp_path, {**TRAJECTORY_RUN[0], "step": 0.5})
+        result = runner.invoke(main, ["equilibrium", "--config", config,
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "state left [0, 1] at t=1.500" in result.output
 
 
 class TestSimulateCommand:

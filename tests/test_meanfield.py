@@ -15,7 +15,7 @@ from d2dnet import (
     theta_lower_bound,
 )
 from d2dnet.degree import NetworkParams, combined_pmf, intra_layer_pmf, pmf_moments
-from d2dnet.meanfield import ConvergenceError, _brent
+from d2dnet.meanfield import ConvergenceError, IntegrationError, _brent
 
 
 def poisson_pmf(mean, k_max=None):
@@ -319,6 +319,63 @@ class TestIntegrateSingle:
     def test_rejects_alpha_outside_unit_interval(self, alpha):
         with pytest.raises(ValueError):
             integrate_single(poisson_pmf(5.0), alpha, 0.1, horizon=10.0)
+
+
+def euler_states(pmf, alpha, initial_fraction, n_steps, step):
+    """Reference: the out-of-place Euler update, one new array per step."""
+    k = np.arange(len(pmf), dtype=float)
+    kp = k * pmf
+    mean, _ = pmf_moments(pmf)
+    informed = np.full(len(pmf), float(initial_fraction))
+    states = [informed]
+    for _ in range(n_steps):
+        theta = float(kp @ informed) / mean
+        informed = informed + step * (-informed + alpha * k * (1.0 - informed) * theta)
+        states.append(informed)
+    return np.array(states)
+
+
+class TestIntegrationError:
+    """A step too large for Euler raises IntegrationError at the first bad state."""
+
+    # (pmf, alpha, initial fraction, horizon, step) and the t of the first
+    # state outside [-1e-6, 1 + 1e-6], as the per-step check reported it.
+    CASES = [
+        ("readme", 0.3, 0.01, 50.0, 0.5, "1.500"),
+        ("readme", 0.3, 0.01, 50.0, 0.2, "1.400"),
+        ("readme", 1.0, 0.5, 10.0, 0.25, "0.250"),
+        ("readme", 0.1, 0.01, 50.0, 1.5, "1.500"),
+        ("poisson", 0.3, 0.01, 50.0, 0.5, "3.000"),
+        ("poisson", 0.5, 0.01, 50.0, 0.9, "1.800"),
+        ("three", 1.0, 1.0, 50.0, 3.0, "3.000"),
+        # Unchecked, these runs overflow to inf within their horizon.
+        ("readme", 0.3, 0.01, 5000.0, 1.0, "2.000"),
+        ("poisson", 1.0, 1.0, 5000.0, 3.0, "3.000"),
+    ]
+
+    @staticmethod
+    def pmf(name):
+        return {"readme": lambda: combined_pmf(README_NETWORKS[1]),
+                "poisson": lambda: poisson_pmf(12.57),
+                "three": lambda: np.array([0.2, 0.3, 0.5])}[name]()
+
+    @pytest.mark.parametrize("name, alpha, q, horizon, step, t", CASES)
+    def test_names_the_first_state_outside(self, name, alpha, q, horizon, step, t):
+        # pyproject.toml turns a RuntimeWarning, such as an overflow, into an error.
+        with pytest.raises(IntegrationError) as raised:
+            integrate_single(self.pmf(name), alpha, q, horizon, step)
+        assert str(raised.value) == f"state left [0, 1] at t={t}; reduce the step size"
+
+    def test_later_steps_overflow(self):
+        name, alpha, q, horizon, step, _ = self.CASES[-2]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            euler_states(self.pmf(name), alpha, q, int(round(horizon / step)), step)
+
+    @pytest.mark.parametrize("name, alpha, q", [("readme", 0.3, 0.01), ("three", 1.0, 0.5)])
+    def test_states_match_out_of_place_euler(self, name, alpha, q):
+        pmf = self.pmf(name)
+        traj = integrate_single(pmf, alpha, q, horizon=20.0, step=0.01)
+        assert np.array_equal(traj.states, euler_states(pmf, alpha, q, 2000, 0.01))
 
 
 class TestIntegrateDual:

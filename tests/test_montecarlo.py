@@ -17,7 +17,7 @@ from d2dnet import (
     spreading_rates,
 )
 from d2dnet.geometry import TYPE_I, TYPE_II, MultiplexGraph
-from d2dnet.montecarlo import _channel, _step, _uniforms
+from d2dnet.montecarlo import _channel, _matvec, _step, _uniforms
 from d2dnet.reconfig import _connectivity_estimate
 from test_montecarlo_exact import assert_within, dual_chain, exact_means
 
@@ -130,6 +130,36 @@ class TestPackedStep:
         graph = sample_graph(params, Region(4.0, 4.0), seed=3)
         channel, mark = self.assert_matches_unpacked(graph, 9, seed=5)
         assert mark > 128 and channel.lane == np.uint16 and channel.words == 3
+
+
+class TestMatvec:
+    """``_step``'s direct CSR kernel call against the public ``@`` product."""
+
+    # uint64, uint32, uint16 (R = 3 and 4) and uint8 lanes, in 1 to 3 words.
+    LANES = {1: np.uint64, 2: np.uint32, 3: np.uint16, 4: np.uint16,
+             10: np.uint8, 20: np.uint8}
+
+    @pytest.mark.parametrize("reps", list(LANES))
+    def test_lane_sums_equal_the_product(self, reps):
+        graph = sample_graph(README_PARAMS, Region(6.0, 6.0), seed=7)
+        channel = _channel(graph.n, np.concatenate([graph.pairs1, graph.pairs2]), 0.45,
+                           SimConfig(replications=reps))
+        assert channel.lane == self.LANES[reps]
+        per_node = channel.words * 8 // channel.lane.itemsize
+        rng = np.random.default_rng(reps)
+        for informed in (rng.random((graph.n, reps)) < 0.5, np.ones((graph.n, reps), bool)):
+            lanes = np.zeros((graph.n, per_node), channel.lane)
+            lanes[:, :reps] = informed
+            packed = lanes.view(np.uint64).ravel()
+            sums = _matvec(channel.blocks, packed)
+            assert sums.dtype == np.uint64
+            assert np.array_equal(sums, channel.blocks @ packed)
+
+    @pytest.mark.parametrize("reps", [1, 10])
+    def test_zero_row_channel_steps(self, reps):
+        channel = _channel(0, np.empty((0, 2), np.int64), 0.45, SimConfig(replications=reps))
+        new = _step(np.zeros((0, reps), bool), np.zeros((0, reps), np.uint32), channel)
+        assert new.shape == (0, reps) and new.dtype == bool
 
 
 # Nodes 0, 1 are type I; layer 1 is the pair 0-1 and layer 2 the cycle
