@@ -338,6 +338,13 @@ def euler_states(pmf, alpha, initial_fraction, n_steps, step):
 class TestIntegrationError:
     """A step too large for Euler raises IntegrationError at the first bad state."""
 
+    PMFS = {"readme": combined_pmf(README_NETWORKS[1]), "poisson": poisson_pmf(12.57),
+            "three": np.array([0.2, 0.3, 0.5])}
+    # Unchecked, these runs overflow to inf within their horizon.
+    OVERFLOWING = [
+        ("readme", 0.3, 0.01, 5000.0, 1.0, "2.000"),
+        ("poisson", 1.0, 1.0, 5000.0, 3.0, "3.000"),
+    ]
     # (pmf, alpha, initial fraction, horizon, step) and the t of the first
     # state outside [-1e-6, 1 + 1e-6], as the per-step check reported it.
     CASES = [
@@ -348,32 +355,23 @@ class TestIntegrationError:
         ("poisson", 0.3, 0.01, 50.0, 0.5, "3.000"),
         ("poisson", 0.5, 0.01, 50.0, 0.9, "1.800"),
         ("three", 1.0, 1.0, 50.0, 3.0, "3.000"),
-        # Unchecked, these runs overflow to inf within their horizon.
-        ("readme", 0.3, 0.01, 5000.0, 1.0, "2.000"),
-        ("poisson", 1.0, 1.0, 5000.0, 3.0, "3.000"),
-    ]
-
-    @staticmethod
-    def pmf(name):
-        return {"readme": lambda: combined_pmf(README_NETWORKS[1]),
-                "poisson": lambda: poisson_pmf(12.57),
-                "three": lambda: np.array([0.2, 0.3, 0.5])}[name]()
+    ] + OVERFLOWING
 
     @pytest.mark.parametrize("name, alpha, q, horizon, step, t", CASES)
     def test_names_the_first_state_outside(self, name, alpha, q, horizon, step, t):
         # pyproject.toml turns a RuntimeWarning, such as an overflow, into an error.
         with pytest.raises(IntegrationError) as raised:
-            integrate_single(self.pmf(name), alpha, q, horizon, step)
+            integrate_single(self.PMFS[name], alpha, q, horizon, step)
         assert str(raised.value) == f"state left [0, 1] at t={t}; reduce the step size"
 
-    def test_later_steps_overflow(self):
-        name, alpha, q, horizon, step, _ = self.CASES[-2]
+    @pytest.mark.parametrize("name, alpha, q, horizon, step, t", OVERFLOWING)
+    def test_later_steps_overflow(self, name, alpha, q, horizon, step, t):
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-            euler_states(self.pmf(name), alpha, q, int(round(horizon / step)), step)
+            euler_states(self.PMFS[name], alpha, q, int(round(horizon / step)), step)
 
     @pytest.mark.parametrize("name, alpha, q", [("readme", 0.3, 0.01), ("three", 1.0, 0.5)])
     def test_states_match_out_of_place_euler(self, name, alpha, q):
-        pmf = self.pmf(name)
+        pmf = self.PMFS[name]
         traj = integrate_single(pmf, alpha, q, horizon=20.0, step=0.01)
         assert np.array_equal(traj.states, euler_states(pmf, alpha, q, 2000, 0.01))
 
