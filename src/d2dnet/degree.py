@@ -212,21 +212,15 @@ def intra_layer_pmf(params: NetworkParams, layer: int, k_max: int | None = None)
     return _check_residual(pmf, f"layer-{layer} pmf")
 
 
-def _stretch_even(pmf: np.ndarray) -> np.ndarray:
-    """Map mass at n to degree 2n (a count that contributes two neighbours)."""
-    out = np.zeros(2 * len(pmf) - 1)
-    out[::2] = pmf
-    return out
-
-
 def combined_pmf(params: NetworkParams, k_max: int | None = None) -> np.ndarray:
     """Combined-layer degree pmf of a typical device, truncated at k_max.
 
     A type-II device sees Poisson(lam * pi * r2^2) neighbours.  A type-I
     device double-counts type-I neighbours within r2 (reachable in both
-    layers), so its degree is the convolution of twice a
-    Poisson(p*lam*pi*r2^2) count with Poisson((1-p)*lam*pi*r2^2) and
-    Poisson(p*lam*pi*(r1^2 - r2^2)) counts.
+    layers), so its degree is 2X + Y, with X ~ Poisson(p*lam*pi*r2^2)
+    and Y the sum of independent Poisson((1-p)*lam*pi*r2^2) and
+    Poisson(p*lam*pi*(r1^2 - r2^2)) counts, itself Poisson with the sum
+    of their means.
     """
     _check_k_max(k_max)
     mu2 = params.lam * math.pi * params.r2 ** 2
@@ -239,20 +233,30 @@ def combined_pmf(params: NetworkParams, k_max: int | None = None) -> np.ndarray:
 
     pmf = (1.0 - params.p) * _poisson_pmf(mu2, k_max)
     if params.p > 0.0:
-        # Convolve generously past k_max so tail mass is not clipped early.
-        inner_k = default_k_max(mean_type1) + k_max
-        branch = _stretch_even(_poisson_pmf(mu_1a, inner_k))
-        branch = np.convolve(branch, _poisson_pmf(mu_2a, inner_k))
-        branch = np.convolve(branch, _poisson_pmf(mu_1b, inner_k))
-        n = min(len(branch), k_max + 1)
-        pmf[:n] += params.p * branch[:n]
+        # A degree d <= k_max needs x, y <= k_max, so truncating both
+        # counts at k_max drops nothing below it.  Each entry sums its
+        # terms in increasing x, an order fixed by k_max alone.
+        px = _poisson_pmf(mu_1a, k_max)
+        py = _poisson_pmf(mu_2a + mu_1b, k_max)
+        branch = np.zeros(k_max + 1)
+        for x in range(k_max // 2 + 1):
+            branch[2 * x:] += px[x] * py[:k_max + 1 - 2 * x]
+        pmf += params.p * branch
     return _check_residual(pmf, "combined pmf")
 
 
 def pmf_moments(pmf: np.ndarray) -> tuple[float, float]:
-    """First and second moments of a truncated pmf."""
+    """First and second moments of a truncated pmf.
+
+    Each is a fixed-order sum of elementwise products, not a BLAS dot,
+    so its bits do not depend on the BLAS kernel.
+    """
     k = np.arange(len(pmf), dtype=float)
-    return float(k @ pmf), float((k * k) @ pmf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, m2 = float(np.sum(k * pmf)), float(np.sum(k * k * pmf))
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise ValueError(f"pmf moments are not finite: E[K] = {mean}, E[K^2] = {m2}")
+    return mean, m2
 
 
 @dataclass(frozen=True)

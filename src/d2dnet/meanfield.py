@@ -6,11 +6,16 @@ fixed point
 
     Theta = (1/E[K]) * sum_k k P(k) * a k Theta / (1 + a k Theta)
 
-which has the trivial root 0 and, for a >= E[K]/E[K^2], a unique
-positive root.  The positive root is found by bracketed root finding on
-the (monotone) stationarity equation, with `_brent`: a line-for-line
-port of scipy's C ``brentq`` that reproduces its iterates, and so its
-Theta, bit for bit without importing ``scipy.optimize``.
+which has the trivial root 0 and, for a E[K^2] > E[K], a unique
+positive root.  Dividing by Theta leaves a stationarity that is convex
+and decreasing in Theta, so Newton's method started at the closed-form
+lower bound max(0, 1 - 1/(a E[K])) climbs onto the positive root from
+below and never overshoots it.
+
+Every sum over degree classes runs in numpy's own loops, a ufunc
+reduction or an einsum without optimize, whose order depends only on
+the array shape, never in a BLAS call, so no result depends on the BLAS
+kernel the CPU selects.
 
 Two messages spread independently, each on its own layer, so both the
 two-message equilibrium and its transient are two single-layer solves:
@@ -49,6 +54,7 @@ class SingleEquilibrium:
 
 
 _RESIDUAL_TOL = 1e-10
+_NEWTON_STEPS = 100
 
 
 def _check_pmf(pmf, name: str = "pmf", ndim: int = 1) -> np.ndarray:
@@ -71,75 +77,6 @@ def _informed_fractions(alpha: float, theta: float, k_max: int) -> np.ndarray:
     return akt / (1.0 + akt)
 
 
-def _brent(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Root of f bracketed by [xa, xb], by Brent's method.
-
-    A line-for-line port of scipy's C ``brentq`` (Brent 1973, ch. 4):
-    the same iterates, the same interpolate / extrapolate / bisect
-    choice and the same stop test |half bracket| < (xtol + rtol*|x|)/2,
-    with the operations in the same order, so the root is bit-identical
-    to ``scipy.optimize.brentq(f, xa, xb, xtol=xtol, rtol=rtol,
-    maxiter=maxiter)``.  Like it, this raises ValueError on a NaN value
-    or a bracket whose ends have the same sign; an exhausted maxiter
-    raises ConvergenceError in place of scipy's RuntimeError.
-    """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN; the root find cannot continue")
-        return fx
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(xa) and f(xb) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise ConvergenceError(
-        f"no root within {maxiter} iterations; last x {xcur!r}", abs(fcur)
-    )
-
-
 def theta_lower_bound(alpha: float, mean_degree: float) -> float:
     """Closed-form Jensen lower bound max(0, 1 - 1/(alpha*E[K]))."""
     if not alpha >= 0:
@@ -154,11 +91,11 @@ def theta_lower_bound(alpha: float, mean_degree: float) -> float:
 def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     """Solve the Theta fixed point for one degree pmf.
 
-    Below the bifurcation threshold E[K]/E[K^2] the only equilibrium is
-    zero; above it the unique positive root is bracketed in (0, 1].  The
+    At or below the bifurcation threshold, alpha * E[K^2] <= E[K], the
+    only equilibrium is zero; above it the unique positive root comes
+    from Newton's method started at `theta_lower_bound`.  The
     zero-vs-positive branch is decided from the pmf moments, never from
-    iteration behaviour.  The root comes from `_brent`, a port of scipy's
-    ``brentq`` that gives the same Theta bit for bit.
+    iteration behaviour.
     """
     _check_alpha(alpha)
     pmf = _check_pmf(pmf)
@@ -166,32 +103,41 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
         raise ValueError("pmf must sum to 1")
     mean, m2 = pmf_moments(pmf)
     k_max = len(pmf) - 1
-    if mean <= 0.0 or alpha == 0.0 or alpha * m2 < mean:
+    if mean <= 0.0 or alpha * m2 <= mean:
         # Subcritical: only the noninformative solution exists.
         return SingleEquilibrium(theta=0.0, informed_by_k=np.zeros(k_max + 1), aggregate=0.0)
 
     k = np.arange(k_max + 1, dtype=float)
-    kp = k * pmf
-
-    def stationarity(theta: float) -> float:
-        # (1/E[K]) * sum_k k^2 P(k) a / (1 + a k theta) - 1; the positive
-        # fixed point is its root, and it is strictly decreasing in theta.
-        return float(np.sum(kp * k * alpha / (1.0 + alpha * k * theta))) / mean - 1.0
-
-    if stationarity(1.0) >= 0.0:
-        theta = 1.0
+    # k2p sums to m2 in pmf_moments' order, so from theta = 0 the first
+    # excess is alpha * m2 - mean > 0 and the iterate leaves zero.
+    k2p = k * k * pmf
+    ak = alpha * k
+    theta = theta_lower_bound(alpha, mean)
+    for _ in range(_NEWTON_STEPS):
+        # excess(theta) = alpha * sum_k k^2 P(k) / (1 + a k theta) - E[K]:
+        # convex and decreasing, zero at the positive fixed point.
+        d = 1.0 + ak * theta
+        w = k2p / d
+        excess = alpha * float(np.sum(w)) - mean
+        step = excess / (alpha * float(np.sum(w * ak / d)))
+        if not theta + step > theta:
+            break
+        theta += step
     else:
-        theta = _brent(stationarity, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+        raise ConvergenceError(
+            f"Newton did not settle in {_NEWTON_STEPS} steps; last theta {theta!r}",
+            abs(excess) / mean,
+        )
     informed = _informed_fractions(alpha, theta, k_max)
-    residual = abs(theta - float(kp @ informed) / mean)
-    if residual > _RESIDUAL_TOL:
+    residual = abs(theta - float(np.sum(k * pmf * informed)) / mean)
+    if not residual <= _RESIDUAL_TOL:
         raise ConvergenceError(
             f"fixed-point residual {residual:.3e} above tol {_RESIDUAL_TOL:.0e}", residual
         )
     return SingleEquilibrium(
-        theta=float(theta),
+        theta=theta,
         informed_by_k=informed,
-        aggregate=float(pmf @ informed),
+        aggregate=float(np.sum(pmf * informed)),
     )
 
 
@@ -307,18 +253,21 @@ def integrate_single(
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(1, n_steps + 1):
             informed, row = states[t - 1], states[t]
-            theta = float(kp @ informed) / mean if mean > 0 else 0.0
+            # np.add.reduce is np.sum without its Python-level dispatch.
+            theta = float(np.add.reduce(kp * informed)) / mean if mean > 0 else 0.0
             np.subtract(1.0, informed, out=row)
             row *= ak
             row *= theta
             row -= informed
             row *= step
             row += informed
-    outside = (states.min(axis=1) < -_STATE_SLACK) | (states.max(axis=1) > 1.0 + _STATE_SLACK)
+    # Written as "not inside" so that a row holding NaN counts as outside.
+    outside = ~((states.min(axis=1) >= -_STATE_SLACK) & (states.max(axis=1) <= 1.0 + _STATE_SLACK))
     if outside.any():
         t = int(outside.argmax())
         raise IntegrationError(f"state left [0, 1] at t={t * step:.3f}; reduce the step size")
-    return Trajectory(times=times, states=states, aggregate=states @ pmf)
+    # einsum without optimize sums in numpy's own loops, never in BLAS.
+    return Trajectory(times=times, states=states, aggregate=np.einsum("tk,k->t", states, pmf))
 
 
 def integrate_dual(
@@ -342,5 +291,7 @@ def integrate_dual(
     joint = _check_pmf(joint_pmf, "joint_pmf", ndim=2)
     layer1 = integrate_single(joint.sum(1), alpha1, initial_fraction, horizon, step)
     layer2 = integrate_single(joint.sum(0), alpha2, initial_fraction, horizon, step)
-    aggregate = np.einsum("tk,kl,tl->t", layer1.states, joint, layer2.states, optimize=True)
+    # Two einsum contractions without optimize: numpy's own loops, no BLAS.
+    by_k = np.einsum("kl,tl->tk", joint, layer2.states)
+    aggregate = np.einsum("tk,tk->t", layer1.states, by_k)
     return DualTrajectory(layer1, layer2, aggregate)

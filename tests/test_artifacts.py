@@ -7,13 +7,22 @@ runs pin the Monte Carlo oracle beyond the README example: the bench's
 ``oracle`` large-graph op (R = 4, uint16 lanes) and a plane-region run
 with R = 2 (uint32 lanes) and a time series, and one ``equilibrium``
 run pins the mean-field transient: the bench's ``oracle`` trajectory
-op, whose Euler steps and Theta dots go through BLAS.  Any change to sampling,
-the simulator, the solvers, the designer or the output formatting moves
-them.  Re-record a pin only on purpose, and say which one and why.
+op.  Any change to sampling, the simulator, the solvers, the designer or
+the output formatting moves them.  Re-record a pin only on purpose, and
+say which one and why.
+
+The mean field sums in a fixed order with no BLAS call, so the pins hold
+on every OpenBLAS kernel: a child process re-runs the pinned set under
+each of two kernels, with another thread count, working directory and
+locale, and must reproduce every digest.
 """
+import ctypes
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,17 +60,17 @@ README_COMMANDS = {
 
 SHA256 = {
     "degree": {
-        "degree_moments.json": "e84d7cc55718f45e9680c53aecd27968dd0d0dd2d41fdb9af005b24643cdd5da",
-        "degree_pmf.csv": "53f9c9b3b98aca63c53b0a81f494a4707bb723a381a98144f12bddf8bbf9a97d",
+        "degree_moments.json": "6fb2961c9a103a069d1ea2949c6e323415158dc8111c55274eb1bbebf957abea",
+        "degree_pmf.csv": "0bef9ec07e1122aca35d9a43caa5c553246efa744dbccf8645d58da346372180",
         "manifest.json": "4e58b57f6e6a88e9715c0a3fc006d8e7613fee9bdc182847de88d297d7772a41",
     },
     "equilibrium": {
-        "equilibrium.csv": "6e22a0a40b0504ad640727dc5092bc62dc5f2cf21732008723c62b7effda113d",
+        "equilibrium.csv": "27cba45036af60478ac439c5d852b3e199a23b97957a6d96424bf514b2595b63",
         "manifest.json": "502b5440e4c0d440550c2baf4d86937c5a790562c56aaea8389375cbfbf3089a",
     },
     "simulate": {
         "manifest.json": "ce515748ced2056d8856c14c8ed674e6e661879f6db4c272f7dbf5e7a9608021",
-        "simulate.csv": "78d3fef47ab7a4c523737305affbc6453a3e6629a6ecd56f609a31d0160feb91",
+        "simulate.csv": "8c803daad05faf861ad927752581d6fd783f2ed149ed028eed536b1c8d6d677e",
     },
     "design": {
         "design_solution.json": "0666225d7fa47b5ab72c3f0288fbc74b557b1b893f79534b932732826d2701e1",
@@ -96,11 +105,11 @@ ORACLE_RUNS = {
 ORACLE_SHA256 = {
     "simulate_large": {
         "manifest.json": "fdfe40a602d8557e091b751d9b079cc38172764e9bd761ecddf2eb0d57cafefd",
-        "simulate.csv": "c683409d4eb05074bcf7d4ffa431b7944eefef80d3c82f7f0cfc818f16363d91",
+        "simulate.csv": "2adf5b7f83a9c4757102e87e0a4ad1514452340d2f27a15ea50f56245c806097",
     },
     "simulate_plane": {
         "manifest.json": "d8d576d76378ddba2a5be8775b0ea3d11f0335f4127909732ea18dc1c8ddbc14",
-        "simulate.csv": "77947fcfa38e466dff37bcc48f752e000a4cf6bc5ef911fb3d9385a478dcb828",
+        "simulate.csv": "42f1e626c7a2f5626352f4ba2bcbdbd88b0f8996927416aa157c9665fd3136a5",
         "timeseries.csv": "2577f446ed6a3e30dfa8b2beb72717ed3f0d7f7078993f72cf2460b9a17d1a9c",
     },
 }
@@ -118,9 +127,9 @@ TRAJECTORY_RUN = ({
 }, None)
 
 TRAJECTORY_SHA256 = {
-    "dual_equilibrium.json": "53727c154907f692c877aa511933adc3f24464c94b18d33ead0419f479837d5b",
+    "dual_equilibrium.json": "b39dcfcf6787ec6d883fb61382d3eaceb0ccba261b311b23680cc5ab989271c0",
     "manifest.json": "ae4685bdbb5fe1afafbdfafd02502e698be2a65ceebee8733e24c862670ea8a2",
-    "trajectory.csv": "086bc2d0610b0d2b4c4484d017ce1a1cf1ca4615dc714f91c0de87ee6a2c1dc3",
+    "trajectory.csv": "dac6a4ea54b28c287dc1dff9627b5a19e915f29a61dd0cdb6803cc6363743bc6",
 }
 
 
@@ -161,3 +170,100 @@ def test_readme_cli_examples_are_the_pinned_ones():
     documented = {command: (json.loads(config), int(seed) if seed else None)
                   for _, config, command, seed in examples}
     assert documented == README_COMMANDS
+
+
+# Every pinned run: command, config, seed and its digests.
+PINNED_RUNS = {
+    **{command: (command, *README_COMMANDS[command], SHA256[command]) for command in README_COMMANDS},
+    **{run: ("simulate", *ORACLE_RUNS[run], ORACLE_SHA256[run]) for run in ORACLE_RUNS},
+    "trajectory": ("equilibrium", *TRAJECTORY_RUN, TRAJECTORY_SHA256),
+}
+
+# Two OpenBLAS kernels, selected by OPENBLAS_CORETYPE in a DYNAMIC_ARCH
+# build.  They differ from each other, so at least one differs from the
+# kernel this machine picks by itself.
+KERNELS = ("Haswell", "Prescott")
+
+
+def blas_kernels() -> dict[str, tuple[str, str]]:
+    """Core name and build config of each OpenBLAS mapped into this process.
+
+    Empty where the libraries cannot be listed (no /proc/self/maps) or
+    none of them is OpenBLAS.
+    """
+    maps = Path("/proc/self/maps")
+    if not maps.exists():
+        return {}
+    paths = {line.split()[-1] for line in maps.read_text().splitlines()
+             if "openblas" in line.lower() and line.split()[-1].startswith("/")}
+    found = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for pattern in ("scipy_openblas_get_{}64_", "scipy_openblas_get_{}", "openblas_get_{}"):
+            corename = getattr(lib, pattern.format("corename"), None)
+            config = getattr(lib, pattern.format("config"), None)
+            if corename is not None and config is not None:
+                corename.argtypes = config.argtypes = []
+                corename.restype = config.restype = ctypes.c_char_p
+                found[path] = (corename().decode(), config().decode())
+                break
+    return found
+
+
+def child_main():
+    """Run every pinned run in the working directory; print the digests and
+    the BLAS kernels as JSON."""
+    digests = {}
+    for name, (command, config, seed, _) in PINNED_RUNS.items():
+        Path(name).mkdir()
+        digests[name] = _digests(Path(name), command, config, seed)
+    print(json.dumps({"kernels": blas_kernels(), "digests": digests}))
+
+
+@pytest.fixture(scope="module")
+def kernel_runs(tmp_path_factory):
+    """child_main's report under each of KERNELS, or its stderr if it failed.
+
+    The children run side by side, each with two BLAS threads, its own
+    working directory and a locale other than this process's.
+    """
+    root = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
+                                         os.environ.get("PYTHONPATH")]))
+    locale = "C" if os.environ.get("LC_ALL") != "C" else "C.UTF-8"
+    children = {}
+    for kernel in KERNELS:
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=kernel,
+                   OPENBLAS_NUM_THREADS="2", LC_ALL=locale)
+        children[kernel] = subprocess.Popen(
+            [sys.executable, "-c", "import test_artifacts; test_artifacts.child_main()"],
+            cwd=tmp_path_factory.mktemp(kernel), env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    reports = {}
+    try:
+        for kernel, child in children.items():
+            out, err = child.communicate(timeout=300)
+            reports[kernel] = json.loads(out) if child.returncode == 0 else err
+    finally:
+        for child in children.values():
+            if child.poll() is None:
+                child.kill()
+                child.wait()
+    return reports
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_pins_hold_on_other_blas_kernels(kernel_runs, kernel):
+    report = kernel_runs[kernel]
+    assert isinstance(report, dict), report
+    kernels = report["kernels"]
+    if not kernels or not all("DYNAMIC_ARCH" in config for _, config in kernels.values()):
+        pytest.skip(f"could not vary the BLAS kernel: OpenBLAS found {kernels or 'none'}")
+    # OpenBLAS reports a kernel by its own table's name (Prescott as
+    # Katmai), so the check is that the two children ran different ones.
+    cores = {core for core, _ in kernels.values()}
+    assert len(cores) == 1, kernels
+    for other in KERNELS:
+        if other != kernel and isinstance(kernel_runs[other], dict):
+            assert cores.isdisjoint(core for core, _ in kernel_runs[other]["kernels"].values())
+    assert report["digests"] == {name: run[-1] for name, run in PINNED_RUNS.items()}, cores

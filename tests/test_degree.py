@@ -134,6 +134,24 @@ class TestCombinedPmf:
         assert np.all(pmf[1::2] == 0.0)
         assert pmf.sum() == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("params", [NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5),
+                                        NetworkParams(p=0.9, lam=3.0, r1=0.6, r2=0.1),
+                                        NetworkParams(p=1.0, lam=8.0, r1=0.7, r2=0.4)])
+    def test_matches_three_poisson_convolution(self, params):
+        # Reference: twice the type-I count within r2, convolved with the
+        # type-II count within r2 and the type-I count between r2 and r1,
+        # all far past k_max, then cut at k_max.
+        got = combined_pmf(params)
+        area2, ring = math.pi * params.r2 ** 2, math.pi * (params.r1 ** 2 - params.r2 ** 2)
+        k = np.arange(2 * len(got))
+        doubled = np.zeros(2 * len(k))
+        doubled[::2] = stats.poisson.pmf(k, params.p * params.lam * area2)
+        branch = np.convolve(np.convolve(doubled, stats.poisson.pmf(k, (1 - params.p) * params.lam * area2)),
+                             stats.poisson.pmf(k, params.p * params.lam * ring))
+        expected = (1 - params.p) * stats.poisson.pmf(k[:len(got)], params.lam * area2)
+        expected += params.p * branch[:len(got)]
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-300)
+
     @given(
         p=st.floats(0.0, 1.0),
         lam=st.floats(0.5, 20.0),
@@ -204,6 +222,27 @@ class TestEpidemicThreshold:
         pmf[0] = 1.0
         with pytest.raises(DegenerateModelError):
             threshold_from_pmf(pmf)
+
+    def test_overflowing_moments_raise(self):
+        # E[K] and E[K^2] overflow to inf, and inf / inf would be NaN.
+        with pytest.raises(ValueError, match="pmf moments are not finite"):
+            threshold_from_pmf([0.0, 1e308, 1e308])
+
+
+class TestPmfMoments:
+    @pytest.mark.parametrize("pmf", [[1e306] * 200, [0.0, 1e308, 1e308], [0.0, 0.0, 1e308],
+                                     [0.5, math.nan, 0.5], [0.5, math.inf, 0.5]])
+    def test_non_finite_moment_raises(self, pmf):
+        with pytest.raises(ValueError, match="pmf moments are not finite"):
+            pmf_moments(pmf)
+
+    def test_sums_in_a_fixed_order(self):
+        # np.sum's pairwise order, not a BLAS dot: the bits are those of a
+        # plain numpy reduction of the elementwise products.
+        pmf = combined_pmf(NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5))
+        k = np.arange(len(pmf), dtype=float)
+        assert pmf_moments(pmf) == (float(np.add.reduce(k * pmf)),
+                                    float(np.add.reduce(k * k * pmf)))
 
 
 class TestParamValidation:

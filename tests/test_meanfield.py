@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from d2dnet import (
     integrate_dual,
@@ -14,8 +13,10 @@ from d2dnet import (
     solve_theta,
     theta_lower_bound,
 )
-from d2dnet.degree import NetworkParams, combined_pmf, intra_layer_pmf, pmf_moments
-from d2dnet.meanfield import ConvergenceError, IntegrationError, _brent
+from d2dnet import meanfield
+from d2dnet.degree import (NetworkParams, _poisson_pmf, combined_pmf, default_k_max,
+                           intra_layer_pmf, pmf_moments)
+from d2dnet.meanfield import ConvergenceError, IntegrationError
 
 
 def poisson_pmf(mean, k_max=None):
@@ -75,12 +76,28 @@ def joint_euler(joint, alpha1, alpha2, q, horizon, step):
         yield iu, ui, ii
 
 
-def stationarity(pmf, alpha):
-    """solve_theta's stationarity function, the same expression term for term."""
-    mean, _ = pmf_moments(pmf)
-    k = np.arange(len(pmf), dtype=float)
-    kp = k * pmf
-    return lambda theta: float(np.sum(kp * k * alpha / (1.0 + alpha * k * theta))) / mean - 1.0
+def bisection_theta(pmf, alpha):
+    """Reference Theta: bisection on the stationarity summed exactly.
+
+    The excess alpha * sum_k k^2 P(k) / (1 + alpha k theta) - E[K] is
+    decreasing in theta; each term is rounded once and math.fsum adds
+    them without further rounding.  Returns the largest float at which
+    the excess is still positive.
+    """
+    mean = math.fsum(k * p for k, p in enumerate(pmf))
+
+    def excess(theta):
+        return math.fsum([alpha * k * k * p / (1.0 + alpha * k * theta)
+                          for k, p in enumerate(pmf)] + [-mean])
+
+    lo, hi = 0.0, 1.0
+    assert excess(lo) > 0.0 > excess(hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if excess(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # The README deployment (degree and simulate examples), ranges in km.
@@ -88,91 +105,84 @@ README_NETWORKS = [NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.5),
                    NetworkParams(p=0.4, lam=15.0, r1=1.0, r2=0.5)]
 
 
-class TestBrent:
-    """_brent against scipy.optimize.brentq, compared bit for bit."""
+def random_pmf(rng):
+    """A pmf with random support length and random, partly zero, weights."""
+    pmf = rng.random(rng.integers(2, 80)) ** 3
+    pmf[:-1][rng.random(len(pmf) - 1) < 0.3] = 0.0
+    return pmf / pmf.sum()
 
-    THETA_TOL = {"xtol": 1e-15, "rtol": 8.9e-16}   # solve_theta's tolerances
-    TOLS = [(2e-12, 4 * np.finfo(float).eps), (1e-15, 8.9e-16), (1e-6, 1e-9), (1e-3, 1e-12)]
 
-    @staticmethod
-    def same(f, a, b, **tol):
-        assert _brent(f, a, b, **tol).hex() == brentq(f, a, b, **tol).hex()
-
-    def test_theta_of_poisson_grid(self):
-        bracketed = 0
-        for mean in (1.5, 3.14, 6.28, 12.57, 25.0):
-            pmf = poisson_pmf(mean)
-            for alpha in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0):
-                f = stationarity(pmf, alpha)
-                if not (f(0.0) > 0.0 > f(1.0)):
-                    continue
-                bracketed += 1
-                self.same(f, 0.0, 1.0, **self.THETA_TOL)
-                assert solve_theta(pmf, alpha).theta == brentq(f, 0.0, 1.0, **self.THETA_TOL)
-        assert bracketed >= 30
-
-    @pytest.mark.parametrize("params", README_NETWORKS)
-    def test_theta_of_readme_pmfs(self, params):
-        pmfs = [combined_pmf(params), intra_layer_pmf(params, 1), intra_layer_pmf(params, 2)]
-        for pmf in pmfs:
+def theta_cases():
+    """(name, pmf, alpha) over the equilibrium table's Poisson grid, the
+    README pmfs and random pmfs, sub- and supercritical alike."""
+    for mean in (3.14, 6.28, 12.57):
+        for alpha in (0.1, 0.2, 0.3, 0.4, 0.5):
+            yield f"poisson_{mean}", _poisson_pmf(mean, default_k_max(mean)), alpha
+    for i, params in enumerate(README_NETWORKS):
+        pmfs = {"combined": combined_pmf(params), "layer1": intra_layer_pmf(params, 1),
+                "layer2": intra_layer_pmf(params, 2)}
+        for name, pmf in pmfs.items():
             for alpha in (0.1, 0.3, 0.6, 1.0):
-                f = stationarity(pmf, alpha)
-                assert f(0.0) > 0.0 > f(1.0)
-                self.same(f, 0.0, 1.0, **self.THETA_TOL)
-                assert solve_theta(pmf, alpha).theta == brentq(f, 0.0, 1.0, **self.THETA_TOL)
+                yield f"readme{i}_{name}", pmf, alpha
+    rng = np.random.default_rng(20261020)
+    for i in range(60):
+        pmf = random_pmf(rng)
+        yield f"random{i}", pmf, float(rng.uniform(0.02, 1.0))
 
-    @pytest.mark.parametrize("xtol, rtol", TOLS)
-    def test_generic_bracketed_functions(self, xtol, rtol):
-        rng = np.random.default_rng(20261019)
-        shapes = [
-            lambda x, r, c: (x - r) * (1.0 + c * x * x),
-            lambda x, r, c: math.tanh(40.0 * c * (x - r)),
-            lambda x, r, c: (x - r) ** 9 + 1e-3 * c * (x - r),
-            lambda x, r, c: math.exp(c * x) - math.exp(c * r),
-            lambda x, r, c: math.sin(x - r) + 0.25 * c * (x - r) ** 3,
-            lambda x, r, c: math.copysign(abs(x - r) ** 0.2, x - r) * c,
-        ]
-        for _ in range(200):
-            r = rng.uniform(-2.0, 2.0)
-            c = rng.uniform(0.1, 3.0)
-            a = r - rng.uniform(1e-3, 1.0)
-            b = r + rng.uniform(1e-3, 1.0)
-            for shape in shapes:
-                f = lambda x: shape(x, r, c)   # noqa: E731
-                self.same(f, a, b, xtol=xtol, rtol=rtol)
-                self.same(f, b, a, xtol=xtol, rtol=rtol)
 
-    def test_root_at_an_end(self):
-        self.same(lambda x: x - 0.25, 0.25, 1.0, xtol=1e-12, rtol=1e-12)
-        self.same(lambda x: x - 1.0, 0.25, 1.0, xtol=1e-12, rtol=1e-12)
+class TestNewton:
+    """solve_theta's Newton iteration, checked by properties of its root."""
 
-    def test_bracket_exactly_at_tolerance_is_not_converged(self):
-        # After the swap x = 0, so |half bracket| = 5e-4 = (xtol + rtol*|x|)/2
-        # exactly: the stop test is strict, so both take one more step.
-        root = _brent(lambda x: x - 2.5e-4, 0.0, 1e-3, xtol=1e-3, rtol=8.9e-16)
-        assert root != 0.0
-        self.same(lambda x: x - 2.5e-4, 0.0, 1e-3, xtol=1e-3, rtol=8.9e-16)
+    def test_matches_bisection_of_exact_sum(self):
+        checked = 0
+        for name, pmf, alpha in theta_cases():
+            mean, m2 = pmf_moments(pmf)
+            if alpha * m2 < 1.01 * mean:
+                continue
+            checked += 1
+            theta = solve_theta(pmf, alpha).theta
+            reference = bisection_theta(pmf, alpha)
+            assert abs(theta - reference) <= 1e-12 * reference, (name, alpha, theta, reference)
+        assert checked >= 70
 
-    @pytest.mark.parametrize("f, a, b", [
-        (lambda x: math.nan if x > 0.9 else x - 0.5, 0.0, 1.0),      # NaN at an end
-        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.0),  # NaN mid-search
-        (lambda x: x + 1.0, 0.0, 1.0),                                # same sign
-    ])
-    def test_errors_match_brentq(self, f, a, b):
-        with pytest.raises(ValueError):
-            brentq(f, a, b)
-        with pytest.raises(ValueError):
-            _brent(f, a, b, xtol=2e-12, rtol=8.9e-16)
+    def test_never_below_the_jensen_bound(self):
+        for name, pmf, alpha in theta_cases():
+            mean, _ = pmf_moments(pmf)
+            assert solve_theta(pmf, alpha).theta >= theta_lower_bound(alpha, mean), (name, alpha)
 
-    def test_exhausted_maxiter(self):
-        def f(x):
-            return x ** 3 - 0.2
+    def test_positive_exactly_above_the_threshold(self):
+        # alpha a few ulps either side of E[K]/E[K^2].
+        for name, pmf, _ in theta_cases():
+            mean, m2 = pmf_moments(pmf)
+            alpha = mean / m2
+            for _ in range(4):
+                alpha = np.nextafter(alpha, 0.0)
+            for _ in range(9):
+                if alpha <= 1.0:
+                    theta = solve_theta(pmf, float(alpha)).theta
+                    assert (theta > 0.0) == (alpha * m2 > mean), (name, alpha)
+                alpha = np.nextafter(alpha, 2.0)
 
-        with pytest.raises(RuntimeError):
-            brentq(f, 0.0, 1.0, maxiter=3, **self.THETA_TOL)
-        with pytest.raises(ConvergenceError):
-            _brent(f, 0.0, 1.0, maxiter=3, **self.THETA_TOL)
-        self.same(f, 0.0, 1.0, **self.THETA_TOL)
+    @pytest.mark.parametrize("k", [1, 2, 4, 8])
+    def test_threshold_itself_gives_zero(self, k):
+        mean, m2 = pmf_moments(point_mass(k))
+        assert 1.0 / k * m2 == mean
+        eq = solve_theta(point_mass(k), 1.0 / k)
+        assert eq.theta == 0.0 and eq.aggregate == 0.0
+
+    def test_point_mass_returns_the_tight_bound(self):
+        # Jensen's bound is exact for a point mass: the start is the root.
+        for k, alpha in ((4, 0.5), (8, 0.25), (3, 1.0)):
+            assert solve_theta(point_mass(k), alpha).theta == theta_lower_bound(alpha, k)
+
+    def test_running_out_of_steps_raises(self, monkeypatch):
+        pmf = _poisson_pmf(3.14, default_k_max(3.14))
+        monkeypatch.setattr(meanfield, "_NEWTON_STEPS", 1)
+        with pytest.raises(ConvergenceError, match="Newton did not settle in 1 steps") as raised:
+            solve_theta(pmf, 0.3)
+        assert raised.value.residual > 0.0
+        monkeypatch.undo()
+        assert solve_theta(pmf, 0.3).theta > 0.0
 
 
 class TestSolveTheta:
@@ -310,6 +320,22 @@ class TestIntegrateSingle:
         with pytest.raises(ValueError, match="pmf must be a nonempty 1-D array"):
             integrate_single(np.array([]), 0.5, 0.1, horizon=1.0)
 
+    def test_rejects_pmf_whose_moments_overflow(self):
+        with pytest.raises(ValueError, match="pmf moments are not finite"):
+            integrate_single([1e306] * 200, 0.5, 0.5, 1.0, 0.1)
+
+    def test_nan_state_counts_as_outside(self, monkeypatch):
+        # Without the moment check, inf / inf makes Theta and every later
+        # state NaN; the range check must still stop the run.
+        def unchecked_moments(pmf):
+            k = np.arange(len(pmf), dtype=float)
+            return float(np.sum(k * pmf)), float(np.sum(k * k * pmf))
+
+        monkeypatch.setattr(meanfield, "pmf_moments", unchecked_moments)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(IntegrationError) as raised:
+            integrate_single([1e306] * 200, 0.5, 0.5, 1.0, 0.1)
+        assert str(raised.value) == "state left [0, 1] at t=0.100; reduce the step size"
+
     @pytest.mark.parametrize("horizon", [-1.0, -1e-9])
     def test_rejects_negative_horizon(self, horizon):
         with pytest.raises(ValueError, match="horizon"):
@@ -322,14 +348,17 @@ class TestIntegrateSingle:
 
 
 def euler_states(pmf, alpha, initial_fraction, n_steps, step):
-    """Reference: the out-of-place Euler update, one new array per step."""
+    """Reference: the out-of-place Euler update, one new array per step.
+
+    Theta is the same fixed-order sum as integrate_single's, not a BLAS dot.
+    """
     k = np.arange(len(pmf), dtype=float)
     kp = k * pmf
     mean, _ = pmf_moments(pmf)
     informed = np.full(len(pmf), float(initial_fraction))
     states = [informed]
     for _ in range(n_steps):
-        theta = float(kp @ informed) / mean
+        theta = float(np.sum(kp * informed)) / mean
         informed = informed + step * (-informed + alpha * k * (1.0 - informed) * theta)
         states.append(informed)
     return np.array(states)
