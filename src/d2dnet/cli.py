@@ -5,6 +5,11 @@ Every command takes a JSON config, honours --seed (over the config's
 outputs byte for byte.  Densities are per km^2; ranges at this boundary
 are in meters and converted to km internally.
 
+A command's body computes its artifacts and returns them; ``_command``
+alone writes them, once the body has finished, with ``manifest.json``
+last.  So a failed run leaves --out as it was, and a run whose own file
+writes fail leaves no manifest beside them.
+
 One reader walks a declarative spec per config object (``COMMANDS``) and
 reads the whole config before any work starts.  An unknown key, a value
 of the wrong JSON type, a non-object where an object belongs or a missing
@@ -355,6 +360,16 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+_DESIGN_COLUMNS = ("p", "lambda", "r1_m", "r2_m")
+
+
+def _in_metres(params):
+    """A design's (p, lambda, r1_m, r2_m), or four None without one; _metres reversed."""
+    if params is None:
+        return (None,) * 4
+    return params.p, params.lam, params.r1 * 1000.0, params.r2 * 1000.0
+
+
 @click.group()
 @click.version_option(__version__)
 def main():
@@ -362,10 +377,13 @@ def main():
 
 
 def _command(body):
-    """The command named after ``body(conf, seed, out_dir) -> outputs``.
+    """The command named after ``body(conf, seed) -> {file name: content}``.
 
-    It reads the whole config before any work, runs the body, writes the
-    manifest and maps config errors to exit 2 and other failures to 1.
+    It reads the whole config before any work and runs the body, which
+    writes nothing.  Only then does it create --out, unlink any old
+    manifest, write each file (a ``.csv`` content is ``(header, rows)``, a
+    ``.json`` one a dict) and write ``manifest.json`` last, listing them.
+    Config errors exit 2 and other failures 1.
     """
     name = body.__name__
 
@@ -378,15 +396,21 @@ def _command(body):
             cfg = _load_config(config_path)
             conf = COMMANDS[name](cfg)
             seed = conf.seed if seed is None else _count(seed, "--seed")
+            files = body(conf, seed)
             out_dir = Path(out)
             out_dir.mkdir(parents=True, exist_ok=True)
-            outputs = body(conf, seed, out_dir)
+            (out_dir / "manifest.json").unlink(missing_ok=True)
+            for file_name, content in files.items():
+                if file_name.endswith(".csv"):
+                    _write_csv(out_dir / file_name, *content)
+                else:
+                    _write_json(out_dir / file_name, content)
             _write_json(out_dir / "manifest.json", {
                 "command": name,
                 "config": cfg,
                 "seed": seed,
                 "tool_version": __version__,
-                "outputs": sorted(outputs),
+                "outputs": sorted(files),
             })
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
@@ -399,7 +423,7 @@ def _command(body):
 
 
 @_command
-def degree(conf, seed, out_dir):
+def degree(conf, seed):
     """Analytic degree pmfs and moments; optional empirical validation."""
     params = conf.params
     model = degree_moments(params, conf.k_max)
@@ -436,25 +460,24 @@ def degree(conf, seed, out_dir):
                     row[:m] += hist[:m]
                 total += count
         columns["emp_k1"], columns["emp_k2"], columns["emp_kc"] = acc / total
-    header = list(columns)
-    _write_csv(out_dir / "degree_pmf.csv", header,
-               zip(*[columns[h] for h in header]))
-    _write_json(out_dir / "degree_moments.json", {
-        "mean_k1": model.mean_k1,
-        "mean_k2": model.mean_k2,
-        "mean_kc": model.mean_kc,
-        "m2_k1": model.m2_k1,
-        "m2_k2": model.m2_k2,
-        "m2_kc": model.m2_kc,
-    })
-    return ["degree_pmf.csv", "degree_moments.json"]
+    return {
+        "degree_pmf.csv": (list(columns), zip(*columns.values())),
+        "degree_moments.json": {
+            "mean_k1": model.mean_k1,
+            "mean_k2": model.mean_k2,
+            "mean_kc": model.mean_kc,
+            "m2_k1": model.m2_k1,
+            "m2_k2": model.m2_k2,
+            "m2_kc": model.m2_kc,
+        },
+    }
 
 
 @_command
-def equilibrium(conf, seed, out_dir):
+def equilibrium(conf, seed):
     """Equilibrium tables (exact vs closed-form bound) or transients."""
     params = conf.params
-    outputs = []
+    files = {}
     if params is not None:
         pmfs = {"combined": combined_pmf(params)}
         means = {"combined": params.mean_kc()}
@@ -471,11 +494,8 @@ def equilibrium(conf, seed, out_dir):
                     name, means[name], a, eq.theta,
                     theta_lower_bound(float(a), means[name]), eq.aggregate,
                 ))
-        _write_csv(out_dir / "equilibrium.csv",
-                   ["model", "mean_degree", "alpha", "theta_exact",
-                    "theta_bound", "aggregate"],
-                   rows)
-        outputs.append("equilibrium.csv")
+        files["equilibrium.csv"] = (["model", "mean_degree", "alpha", "theta_exact",
+                                     "theta_bound", "aggregate"], rows)
     else:
         names = list(pmfs)
         trajs = [
@@ -483,10 +503,8 @@ def equilibrium(conf, seed, out_dir):
                              conf.horizon, conf.step)
             for n in names
         ]
-        rows = zip(trajs[0].times, *[t.aggregate for t in trajs])
-        _write_csv(out_dir / "trajectory.csv",
-                   ["time"] + [f"aggregate_{n}" for n in names], rows)
-        outputs.append("trajectory.csv")
+        files["trajectory.csv"] = (["time"] + [f"aggregate_{n}" for n in names],
+                                   zip(trajs[0].times, *[t.aggregate for t in trajs]))
 
     if conf.dual:
         rates = spreading_rates(conf.threat)
@@ -494,19 +512,18 @@ def equilibrium(conf, seed, out_dir):
             intra_layer_pmf(params, 1), intra_layer_pmf(params, 2),
             rates.alpha1, rates.alpha2,
         )
-        _write_json(out_dir / "dual_equilibrium.json", {
+        files["dual_equilibrium.json"] = {
             "theta1": eq.theta1,
             "theta2": eq.theta2,
             "aggregate_1": eq.aggregate_1,
             "aggregate_2": eq.aggregate_2,
             "aggregate_ii": eq.aggregate_ii,
-        })
-        outputs.append("dual_equilibrium.json")
-    return outputs
+        }
+    return files
 
 
 @_command
-def simulate(conf, seed, out_dir):
+def simulate(conf, seed):
     """Stochastic spreading on sampled graphs, with mean-field comparison.
 
     In mode both, with two or more usable CPUs, the single-message run goes
@@ -550,82 +567,53 @@ def simulate(conf, seed, out_dir):
             series.append(("message1", dual.timeseries[:, :, 0]))
             series.append(("message2", dual.timeseries[:, :, 1]))
             series.append(("both", dual.timeseries[:, :, 2]))
-    _write_csv(out_dir / "simulate.csv",
-               ["quantity", "informed_fraction", "standard_error",
-                "mean_field", "gap", "extinctions"],
-               rows)
-    outputs = ["simulate.csv"]
+    files = {"simulate.csv": (["quantity", "informed_fraction", "standard_error",
+                               "mean_field", "gap", "extinctions"], rows)}
     if series:
-        ts_rows = []
         reps, steps = series[0][1].shape
-        for rep in range(reps):
-            for step in range(steps):
-                ts_rows.append([rep, step] + [s[1][rep, step] for s in series])
-        _write_csv(out_dir / "timeseries.csv",
-                   ["replication", "step"] + [f"frac_{s[0]}" for s in series],
-                   ts_rows)
-        outputs.append("timeseries.csv")
-    return outputs
+        ts_rows = [[rep, step] + [s[1][rep, step] for s in series]
+                   for rep in range(reps) for step in range(steps)]
+        files["timeseries.csv"] = (["replication", "step"] + [f"frac_{s[0]}" for s in series],
+                                   ts_rows)
+    return files
 
 
 @_command
-def design(conf, seed, out_dir):
+def design(conf, seed):
     """Solve the mission design problem; optionally sweep a parameter."""
     mission = conf.mission
     solution = optimize(mission)
     payload = {"status": solution.status}
     if solution.params is not None:
-        payload.update({
-            "p": solution.params.p,
-            "lambda": solution.params.lam,
-            "r1_m": solution.params.r1 * 1000.0,
-            "r2_m": solution.params.r2 * 1000.0,
-            "cost": solution.cost,
-            "active_set": sorted(solution.active_set),
-            "slacks": {k: v for k, v in sorted(solution.slacks.items())},
-        })
+        payload.update(zip(_DESIGN_COLUMNS, _in_metres(solution.params)), cost=solution.cost,
+                       active_set=sorted(solution.active_set), slacks=solution.slacks)
     else:
         payload["violated"] = sorted(solution.active_set)
-    _write_json(out_dir / "design_solution.json", payload)
-    outputs = ["design_solution.json"]
+    files = {"design_solution.json": payload}
     if conf.sweep is not None:
         rows = []
         for row in sweep(mission, conf.sweep.variable, conf.sweep.grid):
             s = row.solution
-            if s.status == "optimal":
-                rows.append((row.value, s.status, s.params.p, s.params.lam,
-                             s.params.r1 * 1000.0, s.params.r2 * 1000.0, s.cost))
-            else:
-                rows.append((row.value, s.status, None, None, None, None, None))
-        _write_csv(out_dir / "sweep.csv",
-                   ["value", "status", "p", "lambda", "r1_m", "r2_m", "cost"],
-                   rows)
-        outputs.append("sweep.csv")
-    return outputs
+            # An infeasible point has no design, and its cost stays blank.
+            rows.append((row.value, s.status, *_in_metres(s.params),
+                         None if s.params is None else s.cost))
+        files["sweep.csv"] = (["value", "status", *_DESIGN_COLUMNS, "cost"], rows)
+    return files
 
 
 @_command
-def reconfig(conf, seed, out_dir):
+def reconfig(conf, seed):
     """Run the periodic estimate-and-redeploy mission loop."""
     trace = run_mission(conf.mission, conf.scenario, t_r=conf.t_r, epsilon=conf.epsilon,
                         horizon=conf.horizon, seed=seed, region=conf.region)
-    rows = []
-    for c in trace.checks:
-        rows.append((
-            c.time, c.lam1_hat, c.lam2_hat, c.t1_hat, c.t2_hat, c.tc_hat,
-            c.delta_hat, c.recomputed,
-            c.params.p if c.params else None,
-            c.params.lam if c.params else None,
-            c.params.r1 * 1000.0 if c.params else None,
-            c.params.r2 * 1000.0 if c.params else None,
-            c.added_type1, c.added_type2, c.cumulative_cost, c.status,
-        ))
-    _write_csv(out_dir / "reconfig_trace.csv",
-               ["time", "lam1_hat", "lam2_hat", "t1_hat", "t2_hat", "tc_hat",
-                "delta_hat", "recomputed", "p", "lambda", "r1_m", "r2_m",
-                "added_type1", "added_type2", "cumulative_cost", "status"],
-               rows)
-    return ["reconfig_trace.csv"]
+    rows = [(c.time, c.lam1_hat, c.lam2_hat, c.t1_hat, c.t2_hat, c.tc_hat, c.delta_hat,
+             c.recomputed, *_in_metres(c.params), c.added_type1, c.added_type2,
+             c.cumulative_cost, c.status)
+            for c in trace.checks]
+    header = ["time", "lam1_hat", "lam2_hat", "t1_hat", "t2_hat", "tc_hat", "delta_hat",
+              "recomputed", *_DESIGN_COLUMNS, "added_type1", "added_type2",
+              "cumulative_cost", "status"]
+    return {"reconfig_trace.csv": (header, rows)}
 
 
 if __name__ == "__main__":

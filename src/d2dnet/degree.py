@@ -99,14 +99,6 @@ class ParamBounds:
         if self.p_max > 1.0:
             raise ValueError("p_max must not exceed 1")
 
-    def contains(self, params: NetworkParams, tol: float = 1e-9) -> bool:
-        return (
-            self.p_min - tol <= params.p <= self.p_max + tol
-            and self.lambda_min - tol <= params.lam <= self.lambda_max + tol
-            and self.r1_min - tol <= params.r1 <= self.r1_max + tol
-            and self.r2_min - tol <= params.r2 <= self.r2_max + tol
-        )
-
 
 @dataclass(frozen=True)
 class ThreatModel:

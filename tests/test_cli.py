@@ -178,6 +178,7 @@ class TestDegreeValidation:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "cannot measure degrees of an empty graph" in result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("validate", [True, 1, "yes", [20]])
     def test_validate_must_be_an_object(self, runner, tmp_path, validate):
@@ -266,6 +267,7 @@ class TestEquilibriumCommand:
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "state left [0, 1] at t=1.500" in result.output
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateCommand:
@@ -322,7 +324,7 @@ class TestSimulateWorker:
         result = runner.invoke(main, ["simulate", "--config", write_config(tmp_path, self.CONFIG),
                                       "--out", str(out)])
         assert multiprocessing.active_children() == []
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
         return result
 
     def test_worker_exception_is_reraised(self, runner, tmp_path, monkeypatch):
@@ -352,7 +354,7 @@ class TestSimulateWorker:
         assert done.returncode == 1, done.stderr
         assert "worker exited with code 3 before returning a result" in done.stderr
         assert done.stdout.strip() == "[]"
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("error", [ValueError("boom"), KeyboardInterrupt()],
                              ids=["ValueError", "KeyboardInterrupt"])
@@ -421,6 +423,57 @@ class TestDesignCommand:
         result = runner.invoke(main, ["design", "--config", config,
                                       "--out", str(tmp_path / "out")])
         assert result.exit_code == 2
+
+
+class TestOutputWrites:
+    """A command writes only once its computation has finished, and the
+    manifest last: a failed run leaves --out as it was."""
+
+    DESIGN = {"mission": {"t1": 0.5, "t2": 0.5, "tc": 0.7}}
+    SWEEP = {"mission": {"t1": 0.6, "t2": 0.6, "tc": 0.8},
+             "sweep": {"variable": "delta", "grid": [0.0]}}
+
+    @staticmethod
+    def design(runner, tmp_path, config, out):
+        return runner.invoke(main, ["design", "--config", write_config(tmp_path, config),
+                                    "--out", str(out)])
+
+    @staticmethod
+    def fail_sweep(monkeypatch):
+        def boom(*args):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(cli, "sweep", boom)
+
+    @staticmethod
+    def contents(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def test_failed_run_creates_no_out(self, runner, tmp_path, monkeypatch):
+        self.fail_sweep(monkeypatch)
+        out = tmp_path / "out"
+        result = self.design(runner, tmp_path, self.SWEEP, out)
+        assert result.exit_code == 1
+        assert "error: sweep failed" in result.output
+        assert not out.exists()
+
+    def test_failed_run_leaves_a_previous_run_as_it_was(self, runner, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        assert self.design(runner, tmp_path, self.DESIGN, out).exit_code == 0
+        before = self.contents(out)
+        assert "manifest.json" in before
+        self.fail_sweep(monkeypatch)
+        assert self.design(runner, tmp_path, self.SWEEP, out).exit_code == 1
+        assert self.contents(out) == before
+
+    def test_failed_write_leaves_no_manifest(self, runner, tmp_path):
+        out = tmp_path / "out"
+        assert self.design(runner, tmp_path, self.DESIGN, out).exit_code == 0
+        (out / "sweep.csv").mkdir()
+        result = self.design(runner, tmp_path, self.SWEEP, out)
+        assert result.exit_code == 1
+        assert "sweep.csv" in result.output
+        assert not (out / "manifest.json").exists()
 
 
 class TestReconfigCommand:

@@ -40,6 +40,10 @@ def make_mission(t1, t2, tc, delta, bounds, **weights):
                        bounds=bounds, **weights)
 
 
+# The box slacks: under IEEE subtraction a - b >= 0 exactly when a >= b, so
+# nonnegative slacks put a design inside its bounds with no tolerance.
+BOXES = ("p_box", "lambda_box", "r1_box", "r2_box")
+
 # (t_intra, tc) missions next to the density cap of the Section V box.
 NEAR_CAP = [(0.91, 0.5), (0.91, 0.8), (0.9, 0.5), (0.9, 0.8)]
 
@@ -264,9 +268,8 @@ class TestOptimize:
                               bounds=bounds, eta=2.5)
         solution = optimize(mission)
         assert solution.status == "optimal"
-        assert bounds.contains(solution.params, tol=0.0)
+        assert all(solution.slacks[box] >= 0.0 for box in BOXES)
         assert solution.params.r1 == bounds.r1_max
-        assert solution.slacks["r1_box"] >= 0.0
 
     def test_minimize_resolves_lazily(self):
         assert designer.minimize is scipy.optimize.minimize
@@ -382,7 +385,7 @@ class TestOptimizeProperties:
             return
         assert solution.status == "optimal"
         x = solution.params
-        assert b.contains(x, tol=0.0)
+        assert all(solution.slacks[box] >= 0.0 for box in BOXES)
         assert x.r1 >= x.r2
         req1, req2, reqc = mission.required_degrees()
         scale = {"combined": reqc, "layer1": req1, "layer2": req2,
