@@ -19,10 +19,15 @@ the dataclasses the config builds and the functions the commands call;
 the reader calls those owners too, so a bad ``alpha``, mean degree, time
 grid or sweep value is a config error before any output is written.
 
-Two commands use a second CPU when the process's affinity allows one:
-``degree`` samples its validation graphs on a thread pool, and
-``simulate`` in mode ``both`` runs the single-message oracle in a forked
-worker beside the two-message one.  Neither changes a byte of output.
+The commands that sample graphs use a second CPU when the process's
+affinity allows one (``geometry._usable_cpus``); none changes a byte of
+output for it.  ``simulate`` and ``reconfig`` sample on the main thread,
+where ``build_rgg`` queries each graph's layer 1 on a helper thread
+beside layer 2.  ``degree`` samples its validation graphs on a thread
+pool, one whole graph per worker, and there ``build_rgg`` queries the
+layers in turn: the pool already keeps every CPU busy.  ``simulate`` in
+mode ``both`` also runs the single-message oracle in a forked worker
+beside the two-message one.
 
 Exit codes: 0 success, 1 runtime failure, 2 config error.
 """
@@ -31,7 +36,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -54,7 +58,7 @@ from .degree import (
     spreading_rates,
 )
 from .designer import MissionSpec, _swept, optimize, sweep
-from .geometry import Region, empirical_degrees, sample_graph
+from .geometry import Region, _usable_cpus, empirical_degrees, sample_graph
 from .meanfield import (_check_alpha, _check_fraction, _check_time_grid, integrate_single,
                         solve_dual, solve_theta, theta_lower_bound)
 from .montecarlo import SimConfig, simulate_dual, simulate_single
@@ -88,14 +92,6 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _send_outcome(sender, fn, args) -> None:
@@ -443,8 +439,9 @@ def degree(conf, seed):
         from concurrent.futures import ThreadPoolExecutor
 
         def histograms(s):
-            # The k-d tree build and pair queries release the GIL, so
-            # graphs sample in parallel; only the histograms come back.
+            # The k-d tree pair queries release the GIL, so graphs
+            # sample in parallel; only the histograms come back.  On a
+            # pool worker build_rgg queries the two layers in turn.
             graph = sample_graph(params, validate.region, seed + s)
             emp = empirical_degrees(graph)
             return (emp.hist1, emp.hist2, emp.histc), graph.n

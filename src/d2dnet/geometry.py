@@ -10,9 +10,19 @@ The k-d trees use sliding-midpoint splits on uncompacted node boxes
 with 10-point leaves (``_TREE``).  These settings change which tree
 nodes a query visits, not which pairs it returns: the pair sets are
 those of a scipy-default ``cKDTree`` query.
+
+The pair query releases the GIL, so ``build_rgg`` called from the main
+thread with two or more usable CPUs runs layer 1's query on a helper
+thread beside layer 2's and joins it before returning.  Each layer is
+the same query either way, so the pairs are byte-identical.  A call
+from any other thread queries the layers in turn: the only such caller,
+``degree``'s validation pool, already keeps every CPU busy with whole
+graphs, and a helper per worker made it slower.
 """
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,6 +152,40 @@ def _pairs_within(
     return tree.query_pairs(radius, output_type="ndarray")
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _pairs_beside(layer1: tuple, layer2: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """``_pairs_within`` of both layers, layer 1's on a helper thread.
+
+    The calling thread queries layer 2 meanwhile.  The helper is joined
+    on every path, so it never outlives the call, and an exception it
+    raised is re-raised here.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(_pairs_within(*layer1))
+        except BaseException as exc:   # re-raised below, on the calling thread
+            outcome.append(exc)
+
+    helper = threading.Thread(target=run)
+    helper.start()
+    try:
+        pairs2 = _pairs_within(*layer2)
+    finally:
+        helper.join()
+    if isinstance(outcome[0], BaseException):
+        raise outcome[0]
+    return outcome[0], pairs2
+
+
 def _rows(n: int, pairs: np.ndarray) -> list[np.ndarray]:
     """Neighbours of each of n nodes from pairs (i < j), rows sorted."""
     if n == 0:
@@ -159,6 +203,11 @@ def build_rgg(
 ) -> MultiplexGraph:
     """Connect the sampled points into the two layers.
 
+    Called from the main thread with two or more usable CPUs, it queries
+    layer 1 on a helper thread beside layer 2 and joins the helper before
+    returning; called from another thread, or with one CPU, it queries
+    them in turn.  The pairs are byte-identical either way.
+
     Raises ValueError if positions is not a finite (n, 2) array, if
     types does not have length n, or if two or more points lie on a
     wrapped region of zero width or height.
@@ -173,15 +222,19 @@ def build_rgg(
         raise ValueError(f"region must have positive width and height to wrap "
                          f"{n} points, got {region.width} x {region.height} km")
     # Layer 1: type-I devices only, range r1.  idx1 is ascending, so
-    # mapping the sub-sample's pairs back keeps i < j.
+    # mapping the sub-sample's pairs back keeps i < j.  Layer 2: all
+    # devices, range r2.
     idx1 = np.flatnonzero(types == TYPE_I)
-    pairs1 = idx1[_pairs_within(positions[idx1], params.r1, region)]
-    # Layer 2: all devices, range r2.
-    pairs2 = _pairs_within(positions, params.r2, region)
+    layer1 = (positions[idx1], params.r1, region)
+    layer2 = (positions, params.r2, region)
+    if threading.current_thread() is threading.main_thread() and _usable_cpus() >= 2:
+        pairs1, pairs2 = _pairs_beside(layer1, layer2)
+    else:
+        pairs1, pairs2 = _pairs_within(*layer1), _pairs_within(*layer2)
     return MultiplexGraph(
         positions=positions,
         types=types,
-        pairs1=pairs1,
+        pairs1=idx1[pairs1],
         pairs2=pairs2,
         region=region,
     )

@@ -25,6 +25,7 @@ the per-layer informed fractions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,12 +97,18 @@ def solve_theta(pmf: np.ndarray, alpha: float) -> SingleEquilibrium:
     from Newton's method started at `theta_lower_bound`.  The
     zero-vs-positive branch is decided from the pmf moments, never from
     iteration behaviour.
+
+    Raises ValueError for a pmf whose mean E[K] is positive but
+    subnormal: the fixed point's residual cannot be resolved there.
     """
     _check_alpha(alpha)
     pmf = _check_pmf(pmf)
     if not abs(pmf.sum() - 1.0) <= 1e-9:
         raise ValueError("pmf must sum to 1")
     mean, m2 = pmf_moments(pmf)
+    if 0.0 < mean < sys.float_info.min:
+        raise ValueError(f"pmf mean E[K] = {mean!r} is subnormal (below "
+                         f"{sys.float_info.min!r}); Theta cannot be resolved")
     k_max = len(pmf) - 1
     if mean <= 0.0 or alpha * m2 <= mean:
         # Subcritical: only the noninformative solution exists.

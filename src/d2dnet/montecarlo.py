@@ -38,7 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
-from scipy.sparse._sparsetools import csr_matvec
+
+try:
+    from scipy.sparse._sparsetools import csr_matvec
+except ImportError:   # a private module: _matvec falls back on the public product
+    csr_matvec = None
 
 from .geometry import TYPE_I, MultiplexGraph
 
@@ -207,7 +211,10 @@ def _matvec(blocks: csr_matrix, vec: np.ndarray) -> np.ndarray:
 
     The same C loop as the ``@`` operator without its dispatch checks;
     the kernel adds into its output, which therefore starts at zero.
+    Where scipy no longer has the private kernel, it is ``blocks @ vec``.
     """
+    if csr_matvec is None:
+        return blocks @ vec
     rows, cols = blocks.shape
     out = np.zeros(rows, np.uint64)
     csr_matvec(rows, cols, blocks.indptr, blocks.indices, blocks.data, vec, out)

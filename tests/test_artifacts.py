@@ -210,14 +210,23 @@ def blas_kernels() -> dict[str, tuple[str, str]]:
     return found
 
 
-def child_main():
-    """Run every pinned run in the working directory; print the digests and
-    the BLAS kernels as JSON."""
+def child_main(names=tuple(PINNED_RUNS)):
+    """Run the named pinned runs in the working directory; print the digests
+    and the BLAS kernels as JSON."""
     digests = {}
-    for name, (command, config, seed, _) in PINNED_RUNS.items():
+    for name in names:
+        command, config, seed, _ = PINNED_RUNS[name]
         Path(name).mkdir()
         digests[name] = _digests(Path(name), command, config, seed)
     print(json.dumps({"kernels": blas_kernels(), "digests": digests}))
+
+
+def child_env(**overrides) -> dict:
+    """This process's environment with src and tests first on PYTHONPATH."""
+    root = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
+                                         os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, **overrides)
 
 
 @pytest.fixture(scope="module")
@@ -227,14 +236,10 @@ def kernel_runs(tmp_path_factory):
     The children run side by side, each with two BLAS threads, its own
     working directory and a locale other than this process's.
     """
-    root = Path(__file__).resolve().parent
-    path = os.pathsep.join(filter(None, [str(root.parent / "src"), str(root),
-                                         os.environ.get("PYTHONPATH")]))
     locale = "C" if os.environ.get("LC_ALL") != "C" else "C.UTF-8"
     children = {}
     for kernel in KERNELS:
-        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_CORETYPE=kernel,
-                   OPENBLAS_NUM_THREADS="2", LC_ALL=locale)
+        env = child_env(OPENBLAS_CORETYPE=kernel, OPENBLAS_NUM_THREADS="2", LC_ALL=locale)
         children[kernel] = subprocess.Popen(
             [sys.executable, "-c", "import test_artifacts; test_artifacts.child_main()"],
             cwd=tmp_path_factory.mktemp(kernel), env=env, text=True,
@@ -267,3 +272,34 @@ def test_pins_hold_on_other_blas_kernels(kernel_runs, kernel):
         if other != kernel and isinstance(kernel_runs[other], dict):
             assert cores.isdisjoint(core for core, _ in kernel_runs[other]["kernels"].values())
     assert report["digests"] == {name: run[-1] for name, run in PINNED_RUNS.items()}, cores
+
+
+SIMULATE_RUNS = [name for name, run in PINNED_RUNS.items() if run[0] == "simulate"]
+
+# A child in which scipy.sparse._sparsetools cannot be imported once
+# scipy.sparse itself has loaded, as in a scipy that moved its private
+# kernels; d2dnet imports after that, so montecarlo takes its fallback.
+NO_SPARSETOOLS = f"""
+import importlib.abc, sys
+import scipy.sparse
+
+class Moved(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.sparse._sparsetools":
+            raise ModuleNotFoundError(f"No module named {{name!r}}", name=name)
+
+del sys.modules["scipy.sparse._sparsetools"]
+sys.meta_path.insert(0, Moved())
+import test_artifacts
+from d2dnet import montecarlo
+assert montecarlo.csr_matvec is None, "the private kernel was imported"
+test_artifacts.child_main({SIMULATE_RUNS!r})
+"""
+
+
+def test_simulate_pins_hold_without_the_private_csr_kernel(tmp_path):
+    done = subprocess.run([sys.executable, "-c", NO_SPARSETOOLS], cwd=tmp_path,
+                          env=child_env(), capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["digests"] == {
+        name: PINNED_RUNS[name][-1] for name in SIMULATE_RUNS}

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from test_artifacts import (ORACLE_RUNS, ORACLE_SHA256, README_COMMANDS, TRAJECTORY_RUN,
                             SHA256 as ARTIFACT_SHA256, _digests)
 
-from d2dnet import cli
+from d2dnet import cli, geometry
 from d2dnet.cli import main
 
 
@@ -162,10 +162,14 @@ class TestDegreeValidation:
     def test_bytes_are_pinned_for_any_worker_count(self, runner, tmp_path, monkeypatch, cpus):
         if cpus is not None:
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        # The pool's workers query the two layers in turn, with no helper.
+        helpers = []
+        monkeypatch.setattr(geometry, "_pairs_beside", lambda *layers: helpers.append(layers))
         config = write_config(tmp_path, self.CONFIG)
         out = tmp_path / "out"
         result = runner.invoke(main, ["degree", "--config", config,
                                       "--seed", "1", "--out", str(out)])
+        assert helpers == []
         assert result.exit_code == 0, result.output
         got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in self.SHA256}

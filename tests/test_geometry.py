@@ -1,12 +1,15 @@
 """Spatial sampling, multiplex RGG construction and empirical degrees."""
 import hashlib
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 from d2dnet import NetworkParams, Region, build_rgg, empirical_degrees, sample_graph, sample_ppp
+from d2dnet import geometry
 from d2dnet.geometry import TYPE_I, TYPE_II, EmptyGraphError, MultiplexGraph, _pairs_within
 
 
@@ -241,6 +244,89 @@ class TestPairsWithin:
         assert len(expected)
         assert np.array_equal(sorted_pairs(_pairs_within(positions, radius, region)),
                               expected)
+
+
+def graph_case(params, region, seed=0):
+    return (*sample_ppp(params, region, seed), params, region)
+
+
+# build_rgg arguments; the first two have the density and ranges of a
+# reconfig graph and of a degree validation graph.
+LAYER_CASES = {
+    "mission-sparse": graph_case(NetworkParams(p=0.385, lam=3.9, r1=1.132, r2=0.453),
+                                 Region(20.0, 20.0)),
+    "deploy-dense": graph_case(PARAMS, REGION),
+    "0-nodes": (np.empty((0, 2)), np.empty(0, dtype=np.int8), PARAMS, REGION),
+    "1-node": (np.full((1, 2), 2.0), np.full(1, TYPE_I, dtype=np.int8), PARAMS, REGION),
+    "no-type-I": graph_case(NetworkParams(p=0.0, lam=50.0, r1=1.0, r2=0.5), REGION),
+    "r2-zero": graph_case(NetworkParams(p=0.4, lam=50.0, r1=1.0, r2=0.0), REGION),
+    "flat": graph_case(PARAMS, Region(10.0, 10.0, wrap=False)),
+}
+
+
+def layer_bytes(graph):
+    return [(p.dtype, p.shape, p.tobytes()) for p in (graph.pairs1, graph.pairs2)]
+
+
+@pytest.fixture
+def queries(monkeypatch):
+    """Each _pairs_within call's radius, whether it ran on the main thread,
+    and the live thread count at its start; two usable CPUs."""
+    calls = []
+
+    def recorded(positions, radius, region):
+        calls.append((radius, threading.current_thread() is threading.main_thread(),
+                      threading.active_count()))
+        return _pairs_within(positions, radius, region)
+
+    monkeypatch.setattr(geometry, "_pairs_within", recorded)
+    monkeypatch.setattr(geometry, "_usable_cpus", lambda: 2)
+    return calls
+
+
+class TestLayerHelper:
+    """On the main thread with two usable CPUs, build_rgg queries layer 1
+    on a helper thread beside layer 2 and joins it; elsewhere it queries
+    the layers in turn.  The pairs are the same bytes either way."""
+
+    @pytest.mark.parametrize("case", list(LAYER_CASES))
+    def test_helper_and_worker_paths_give_the_same_bytes(self, queries, case):
+        args = LAYER_CASES[case]
+        params = args[2]
+        threads = threading.active_count()
+        beside = build_rgg(*args)
+        assert threading.active_count() == threads
+        assert {r: on_main for r, on_main, _ in queries} == {params.r1: False, params.r2: True}
+        del queries[:]
+        with ThreadPoolExecutor(1) as worker:
+            in_turn = worker.submit(build_rgg, *args).result()
+        assert [(r, on_main) for r, on_main, _ in queries] == [(params.r1, False),
+                                                                 (params.r2, False)]
+        assert layer_bytes(beside) == layer_bytes(in_turn)
+        assert np.array_equal(sorted_pairs(beside.pairs2),
+                              scipy_default_pairs(args[0], params.r2, args[3]))
+
+    def test_one_cpu_starts_no_helper(self, queries, monkeypatch):
+        monkeypatch.setattr(geometry, "_usable_cpus", lambda: 1)
+        threads = threading.active_count()
+        build_rgg(*LAYER_CASES["deploy-dense"])
+        assert queries == [(PARAMS.r1, True, threads), (PARAMS.r2, True, threads)]
+
+    @pytest.mark.parametrize("layer", [1, 2])
+    def test_query_error_reaches_the_caller_and_leaves_no_thread(self, queries, monkeypatch,
+                                                                 layer):
+        radius = (PARAMS.r1, PARAMS.r2)[layer - 1]
+
+        def failing(positions, r, region):
+            if r == radius:
+                raise ArithmeticError(f"layer {layer}")
+            return _pairs_within(positions, r, region)
+
+        monkeypatch.setattr(geometry, "_pairs_within", failing)
+        threads = threading.active_count()
+        with pytest.raises(ArithmeticError, match=f"layer {layer}"):
+            build_rgg(*LAYER_CASES["deploy-dense"])
+        assert threading.active_count() == threads
 
 
 class TestEmpiricalDegrees:

@@ -1,5 +1,6 @@
 """Mean-field equilibria: fixed points, closed-form bound, transients."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -192,6 +193,13 @@ class TestSolveTheta:
         assert eq.theta == 0.0
         assert np.all(eq.informed_by_k == 0.0)
         assert eq.aggregate == 0.0
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.1], ids=["supercritical", "subcritical"])
+    @pytest.mark.parametrize("tail", [1e-320, 1e-310])
+    def test_rejects_pmf_with_subnormal_mean(self, tail, alpha):
+        # E[K] = 2 * tail is positive but below the smallest normal float.
+        with pytest.raises(ValueError, match=re.escape(f"E[K] = {2 * tail!r} is subnormal")):
+            solve_theta(np.array([1.0 - tail, 0.0, tail]), alpha)
 
     def test_deterministic_degree_closed_form(self):
         eq = solve_theta(point_mass(4), alpha=0.5)
